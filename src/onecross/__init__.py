@@ -36,8 +36,6 @@ from .graph import (
     EdgePair,
     Multigraph,
     PathInGraph,
-    Subgraph,
-    avoiding_paths,
     build,
     delete_edges,
     make_pair,
@@ -54,7 +52,6 @@ from .planarity import (
     PlanarityResult,
     RotationSystem,
     embed_with_outer_cycle,
-    faces,
     test_planarity,
 )
 from .separation import (

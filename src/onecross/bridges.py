@@ -15,9 +15,7 @@ from .errors import InconsistencyDetected, NonPlanarInput, SameBridge
 from .graph import (
     Multigraph,
     PathInGraph,
-    Subgraph,
     all_cycles,
-    as_subgraph,
     bridge_edge_groups,
     extend,
     subdivide_edge,
@@ -69,30 +67,30 @@ class Detached:
 DetachingVerdict = Cofacial | Detached
 
 
-def decompose(g: Multigraph, h: Subgraph | PathInGraph) -> list[Bridge]:
+def decompose(g: Multigraph, h: PathInGraph) -> list[Bridge]:
     """All H-bridges of g in deterministic order (smallest edge id first)."""
-    sub = as_subgraph(g, h)
+    h_vertices = h.vertex_set()
     bridges = []
-    for grp in bridge_edge_groups(g, sub):
+    for grp in bridge_edge_groups(g, h):
         verts = {v for e in grp for v in g.endpoints(e)}
-        att = frozenset(verts & sub.vertices)
-        nucleus = frozenset(verts - sub.vertices)
+        att = frozenset(verts & h_vertices)
+        nucleus = frozenset(verts - h_vertices)
         is_chord = not nucleus
         if is_chord and len(grp) != 1:
             raise InconsistencyDetected("chord bridge with several edges")
         bridges.append(Bridge(att, nucleus, grp, is_chord))
     # isolated vertices of g off H are degenerate component bridges
-    covered = sub.vertices | {v for b in bridges for v in b.nucleus}
+    covered = h_vertices | {v for b in bridges for v in b.nucleus}
     for v in sorted(g.vertices - covered):
         if g.degree(v) == 0:
             bridges.append(Bridge(frozenset(), frozenset({v}), frozenset(), False))
     bridges.sort(key=Bridge.sort_key)
-    _assert_partition(g, sub, bridges)
+    _assert_partition(g, h, bridges)
     return bridges
 
 
-def _assert_partition(g: Multigraph, sub: Subgraph, bridges: list[Bridge]) -> None:
-    rest = set(g.edge_ids()) - set(sub.edges)
+def _assert_partition(g: Multigraph, h: PathInGraph, bridges: list[Bridge]) -> None:
+    rest = set(g.edge_ids()) - h.edge_set()
     seen: set[int] = set()
     for b in bridges:
         if b.edges & seen:

@@ -265,7 +265,8 @@ class SweepOutcome:
     failing: dict[str, Any] | None = None
 
 
-def _sweep_graph(g: Multigraph, budget: int | None) -> tuple[int, int, int, dict[str, Any] | None]:
+def _sweep_graph(g: Multigraph, budget: int | None) -> tuple[int, int, int, dict[str, Any] | None] | None:
+    """Pair totals of one graph, or None when the budget ran out on it."""
     if test_planarity(g).planar:
         return 0, 0, 0, None
     certs = list(enumerate_kuratowski(g))
@@ -281,6 +282,8 @@ def _sweep_graph(g: Multigraph, budget: int | None) -> tuple[int, int, int, dict
             bad += 1
             if failing is None:
                 failing = {"graph6": _try_graph6(g), "pair": [pair.e, pair.f]}
+        except BudgetExceeded:
+            return None
     return pairs, crossing, bad, failing
 
 
@@ -345,21 +348,21 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         graphs = _atlas_graphs(args.max_n)
 
     outcome = SweepOutcome()
-    budget_hit = False
     jobs = max(args.jobs, 1)
-    try:
-        if jobs > 1:
-            import multiprocessing as mp
+    if jobs > 1:
+        import multiprocessing as mp
 
-            with mp.Pool(jobs) as pool:
-                results = pool.starmap(_sweep_graph, [(g, args.budget_steps) for g in graphs])
-        else:
-            results = [_sweep_graph(g, args.budget_steps) for g in graphs]
-    except BudgetExceeded:
-        budget_hit = True
-        results = []
+        with mp.Pool(jobs) as pool:
+            results = pool.starmap(_sweep_graph, [(g, args.budget_steps) for g in graphs])
+    else:
+        results = [_sweep_graph(g, args.budget_steps) for g in graphs]
 
-    for pairs, crossing, bad, failing in results:
+    skipped = []
+    for g, result in zip(graphs, results):
+        if result is None:
+            skipped.append(_try_graph6(g))
+            continue
+        pairs, crossing, bad, failing = result
         outcome.graphs += 1
         outcome.pairs += pairs
         outcome.crossing_pairs += crossing
@@ -374,12 +377,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         "inconsistencies": outcome.inconsistencies,
         "seed": args.seed,
         "max_n": args.max_n,
-        "partial": budget_hit,
+        "partial": bool(skipped),
     }
+    if skipped:
+        body["skipped"] = skipped
     if outcome.failing:
         body["minimal_failing"] = outcome.failing
     sys.stdout.write(_report("corpus", None, body, (time.perf_counter() - t0) if args.timing else None))
-    if budget_hit:
+    if skipped:
         return EXIT_BUDGET
     if outcome.inconsistencies:
         return EXIT_INCONSISTENT

@@ -7,7 +7,7 @@ survive edge deletion, so certificates can always reference original edges.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 
 from .errors import LoopEdge, NotACycle, SearchBudgetExceeded, UnknownEdge, UnknownVertex
@@ -159,7 +159,7 @@ def extend(
 
 
 def restrict(g: Multigraph, edge_ids: Iterable[int], vertices: Iterable[int] = ()) -> Multigraph:
-    """Subgraph on the given edges (ids preserved) plus any extra isolated vertices."""
+    """The subgraph on the given edges (ids preserved) plus any extra isolated vertices."""
     keep = set(edge_ids)
     endpoints = {}
     vertex_set = set(vertices)
@@ -230,7 +230,7 @@ def is_connected(g: Multigraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Paths, cycles, subgraphs
+# Paths and cycles
 # ---------------------------------------------------------------------------
 
 
@@ -294,30 +294,6 @@ class PathInGraph:
                 raise ValueError(f"edge {e} does not join consecutive path vertices")
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """An edge set plus vertex set referencing a host graph."""
-
-    vertices: frozenset[int]
-    edges: frozenset[int]
-
-    @staticmethod
-    def from_edges(g: Multigraph, edge_ids: Iterable[int], extra_vertices: Iterable[int] = ()) -> "Subgraph":
-        ids = frozenset(edge_ids)
-        verts = set(extra_vertices)
-        for e in ids:
-            verts.update(g.endpoints(e))
-        return Subgraph(frozenset(verts), ids)
-
-    @staticmethod
-    def from_path(p: PathInGraph) -> "Subgraph":
-        return Subgraph(p.vertex_set(), p.edge_set())
-
-
-def as_subgraph(g: Multigraph, h: "Subgraph | PathInGraph") -> Subgraph:
-    return Subgraph.from_path(h) if isinstance(h, PathInGraph) else h
-
-
 def cycle_from_vertices(g: Multigraph, vseq: Sequence[int]) -> PathInGraph:
     """Close vseq into a cycle, picking the lowest unused edge between consecutive vertices."""
     if len(vseq) < 2 or len(set(vseq)) != len(vseq):
@@ -348,57 +324,6 @@ def require_cycle(g: Multigraph, c: PathInGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def avoiding_paths(
-    g: Multigraph,
-    h: Subgraph | PathInGraph,
-    s: int,
-    t: int,
-) -> Iterator[PathInGraph]:
-    """Yield every st-path avoiding H (no H edge, no internal H vertex).
-
-    s and t may lie in H. Order is lexicographic by edge-id sequence; every
-    yielded path satisfies the PathInGraph invariants.
-    """
-    if s not in g.vertices:
-        raise UnknownVertex(s)
-    if t not in g.vertices:
-        raise UnknownVertex(t)
-    sub = as_subgraph(g, h)
-    if s == t:
-        path = PathInGraph((s,), ())
-        path.validate(g)
-        yield path
-        return
-
-    verts = [s]
-    edges: list[int] = []
-    on_path = {s}
-
-    def walk(v: int) -> Iterator[PathInGraph]:
-        for e in sorted(g.edges_at(v)):
-            if e in sub.edges:
-                continue
-            w = g.other_end(e, v)
-            if w in on_path:
-                continue
-            if w != t and w in sub.vertices:
-                continue
-            verts.append(w)
-            edges.append(e)
-            if w == t:
-                path = PathInGraph(tuple(verts), tuple(edges))
-                path.validate(g)
-                yield path
-            else:
-                on_path.add(w)
-                yield from walk(w)
-                on_path.discard(w)
-            verts.pop()
-            edges.pop()
-
-    yield from walk(s)
-
-
 class _StepBudget:
     __slots__ = ("remaining",)
 
@@ -411,6 +336,67 @@ class _StepBudget:
         if self.remaining <= 0:
             raise SearchBudgetExceeded("search step budget exhausted")
         self.remaining -= 1
+
+
+def simple_paths(
+    g: Multigraph,
+    s: int,
+    t: int,
+    blocked_vertices: Set[int] = frozenset(),
+    blocked_edges: frozenset[int] = frozenset(),
+    length: int | None = None,
+    budget: _StepBudget | None = None,
+) -> Iterator[PathInGraph]:
+    """Simple st-paths (s != t) in lexicographic order of edge ids.
+
+    No path enters a blocked vertex or uses a blocked edge; t must not be
+    blocked, s may be. With `length`, only paths of exactly that many edges are
+    yielded. The budget is spent once per vertex entered, s included. The
+    search keeps an explicit stack, so path length is not bounded by recursion.
+    """
+    endpoints = g._endpoints
+    adjacency = g._adjacency
+    spend = budget.spend if budget is not None else None
+    if spend is not None:
+        spend()
+    # edges the path may still take; without a length it never drops to 1
+    left = length if length is not None else g.n + 1
+    verts = [s]
+    edges: list[int] = []
+    on_path = {s}
+    stack = [iter(adjacency[s])]
+    v = s
+    while True:
+        for e in stack[-1]:
+            if e in blocked_edges:
+                continue
+            a, b = endpoints[e]
+            w = b if a == v else a
+            if w in on_path or w in blocked_vertices:
+                continue
+            if w == t:
+                if left == 1 or length is None:
+                    yield PathInGraph(tuple(verts) + (t,), tuple(edges) + (e,))
+                continue
+            if left <= 1:
+                continue
+            if spend is not None:
+                spend()
+            verts.append(w)
+            edges.append(e)
+            on_path.add(w)
+            stack.append(iter(adjacency[w]))
+            v = w
+            left -= 1
+            break
+        else:
+            if not edges:
+                return
+            stack.pop()
+            edges.pop()
+            on_path.discard(verts.pop())
+            v = verts[-1]
+            left += 1
 
 
 def paths_by_length(
@@ -426,33 +412,7 @@ def paths_by_length(
         return
     counter = budget or _StepBudget(None)
     for depth in range(1, g.n):
-        verts = [s]
-        edges: list[int] = []
-        on_path = {s}
-
-        def walk(v: int, left: int) -> Iterator[PathInGraph]:
-            counter.spend()
-            for e in sorted(g.edges_at(v)):
-                if e in forbidden_edges:
-                    continue
-                w = g.other_end(e, v)
-                if w in on_path or w in forbidden_vertices:
-                    continue
-                if w == t:
-                    if left == 1:
-                        yield PathInGraph(tuple(verts) + (t,), tuple(edges) + (e,))
-                    continue
-                if left <= 1:
-                    continue
-                verts.append(w)
-                edges.append(e)
-                on_path.add(w)
-                yield from walk(w, left - 1)
-                on_path.discard(w)
-                verts.pop()
-                edges.pop()
-
-        yield from walk(s, depth)
+        yield from simple_paths(g, s, t, forbidden_vertices, forbidden_edges, depth, counter)
 
 
 def cycles_through_edge(
@@ -481,18 +441,18 @@ def all_cycles(g: Multigraph, budget: _StepBudget | None = None) -> Iterator[Pat
 # ---------------------------------------------------------------------------
 
 
-def bridge_edge_groups(g: Multigraph, h: Subgraph | PathInGraph) -> list[frozenset[int]]:
+def bridge_edge_groups(g: Multigraph, h: PathInGraph) -> list[frozenset[int]]:
     """Partition E(g) \\ E(h) into H-bridge edge groups, ordered by smallest id.
 
     A group is either a single chord edge with both ends on H, or the edges of
     one component of g - V(H) together with its attachment edges.
     """
-    sub = as_subgraph(g, h)
+    h_vertices, h_edges = h.vertex_set(), h.edge_set()
     groups: list[set[int]] = []
     assigned: set[int] = set()
 
     seen: set[int] = set()
-    for start in sorted(g.vertices - sub.vertices):
+    for start in sorted(g.vertices - h_vertices):
         if start in seen:
             continue
         comp = {start}
@@ -503,7 +463,7 @@ def bridge_edge_groups(g: Multigraph, h: Subgraph | PathInGraph) -> list[frozens
             for e in g.edges_at(v):
                 group.add(e)
                 w = g.other_end(e, v)
-                if w not in sub.vertices and w not in comp:
+                if w not in h_vertices and w not in comp:
                     comp.add(w)
                     stack.append(w)
         seen |= comp
@@ -512,7 +472,7 @@ def bridge_edge_groups(g: Multigraph, h: Subgraph | PathInGraph) -> list[frozens
             assigned |= group
 
     for e, (u, v) in g.edge_items():
-        if e in sub.edges or e in assigned:
+        if e in h_edges or e in assigned:
             continue
         # both ends on H: a chord bridge of its own
         groups.append({e})

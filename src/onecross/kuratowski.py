@@ -11,7 +11,7 @@ from collections.abc import Iterator
 from itertools import combinations
 
 from .errors import EdgeNotInSubdivision, EnumerationBudgetExceeded
-from .graph import Multigraph, PathInGraph
+from .graph import Multigraph, PathInGraph, simple_paths
 from .planarity import KuratowskiCert
 
 ENUMERATION_VERTEX_GATE = 12
@@ -59,30 +59,22 @@ def is_crossing_pair_in_kuratowski(bs: BranchStructure, e: int, f: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_kuratowski(
-    g: Multigraph,
-    limit: int | None = None,
-    max_vertices: int = ENUMERATION_VERTEX_GATE,
-) -> Iterator[KuratowskiCert]:
+def enumerate_kuratowski(g: Multigraph) -> Iterator[KuratowskiCert]:
     """All Kuratowski subdivisions of g, distinct as edge sets.
 
     Works by guessing branch vertices and extending internally disjoint path
     systems; exponential, so gated to small graphs.
     """
-    if g.n > max_vertices:
+    if g.n > ENUMERATION_VERTEX_GATE:
         raise EnumerationBudgetExceeded(
-            f"Kuratowski enumeration is gated to {max_vertices} vertices (got {g.n})"
+            f"Kuratowski enumeration is gated to {ENUMERATION_VERTEX_GATE} vertices (got {g.n})"
         )
-    emitted = 0
     seen: set[frozenset[int]] = set()
     for cert in _enumerate_all(g):
         if cert.edges in seen:
             continue
         seen.add(cert.edges)
         yield cert
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
 
 
 def _enumerate_all(g: Multigraph) -> Iterator[KuratowskiCert]:
@@ -126,33 +118,12 @@ def _path_systems(
     chosen: list[PathInGraph] = []
     used_internal: set[int] = set()
 
-    def candidate_paths(s: int, t: int) -> Iterator[PathInGraph]:
-        verts = [s]
-        edges: list[int] = []
-        blocked = used_internal | (branch_vertices - {t})
-
-        def walk(v: int) -> Iterator[PathInGraph]:
-            for e in sorted(g.edges_at(v)):
-                w = g.other_end(e, v)
-                if w == t:
-                    yield PathInGraph(tuple(verts) + (t,), tuple(edges) + (e,))
-                    continue
-                if w in blocked or w in verts:
-                    continue
-                verts.append(w)
-                edges.append(e)
-                yield from walk(w)
-                verts.pop()
-                edges.pop()
-
-        yield from walk(s)
-
     def extend_system(i: int) -> Iterator[tuple[PathInGraph, ...]]:
         if i == len(pairs):
             yield tuple(chosen)
             return
         s, t = pairs[i]
-        for path in candidate_paths(s, t):
+        for path in simple_paths(g, s, t, used_internal | (branch_vertices - {t})):
             interior = set(path.vertices[1:-1])
             chosen.append(path)
             used_internal.update(interior)

@@ -170,11 +170,6 @@ class RotationSystem:
         return f"RotationSystem({self.graph!r})"
 
 
-def faces(r: RotationSystem) -> tuple[Face, ...]:
-    """Face list of a planar rotation system (module-level spelling)."""
-    return r.faces()
-
-
 def face_with_vertices(r: RotationSystem, wanted: Iterable[int]) -> Face | None:
     want = set(wanted)
     for face in r.faces():

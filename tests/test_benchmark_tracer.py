@@ -1,0 +1,48 @@
+"""The benchmark's tracer wraps library functions by name; renaming or deleting
+one of them must fail here rather than break `benchmarks/run.py --trace 1`."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import onecross.cli  # noqa: F401  (imports every layer the tracer wraps)
+from onecross.characterize import OneDrawing
+from onecross.graph import _StepBudget
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("onecross_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings() -> dict[tuple[str, str], object]:
+    out = {
+        (name, attr): value
+        for name, module in sys.modules.items()
+        if name == "onecross" or name.startswith("onecross.")
+        for attr, value in vars(module).items()
+    }
+    out[("_StepBudget", "spend")] = _StepBudget.spend
+    out[("OneDrawing", "validate")] = OneDrawing.validate
+    return out
+
+
+def test_tracer_installs_and_restores_every_binding():
+    before = _bindings()
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        during = _bindings()
+        assert during[("onecross.graph", "paths_by_length")] is not before[("onecross.graph", "paths_by_length")]
+        assert during[("_StepBudget", "spend")] is not before[("_StepBudget", "spend")]
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

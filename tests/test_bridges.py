@@ -17,7 +17,7 @@ from onecross.bridges import (
 )
 from onecross.bruteforce import all_planar_rotations, rotation_count
 from onecross.errors import NonPlanarInput, SameBridge
-from onecross.graph import all_cycles, build, cycle_from_vertices, delete_edges, extend
+from onecross.graph import PathInGraph, all_cycles, build, cycle_from_vertices, delete_edges, extend
 from onecross.planarity import face_with_vertices, test_planarity as run_planarity
 from helpers import atlas_connected, random_planar_graph
 
@@ -286,9 +286,7 @@ def test_ve_endpoint_is_trivially_cofacial(q3):
 
 def test_decompose_general_subgraph(v8):
     # H = a path, not a cycle: decomposition still partitions the rest
-    from onecross.graph import Subgraph
-
-    h = Subgraph.from_edges(v8, [0, 1, 2])  # path v0..v3
+    h = PathInGraph((0, 1, 2, 3), (0, 1, 2))  # path v0..v3
     bs = decompose(v8, h)
     union = set()
     for b in bs:

@@ -231,6 +231,17 @@ def test_cli_corpus_over_budget(capsys):
     assert main(["corpus", "--max-n", "40"]) == 69
 
 
+def test_cli_corpus_budget_hit_skips_only_that_graph(capsys):
+    assert main(["corpus", "--max-n", "6", "--budget-steps", "3"]) == 69
+    serial = capsys.readouterr().out
+    report = json.loads(serial)
+    assert report["partial"] is True
+    assert report["graphs_checked"] > 0 and report["skipped"]
+    assert report["graphs_checked"] + len(report["skipped"]) == 143
+    assert main(["corpus", "--max-n", "6", "--budget-steps", "3", "--jobs", "2"]) == 69
+    assert capsys.readouterr().out == serial
+
+
 def test_cli_corpus_parallel_jobs_deterministic(capsys):
     assert main(["corpus", "--max-n", "5", "--jobs", "2"]) == 0
     parallel = capsys.readouterr().out
