@@ -28,7 +28,6 @@ from .characterize import (
     crossing_number_le_1,
     oracle_crossing_pair,
     planarize,
-    potential_crossing_pairs,
     unplanarize,
     vertex_disjoint_pairs,
 )

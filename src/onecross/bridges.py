@@ -180,10 +180,7 @@ def side_of_bridge(r: RotationSystem, c: PathInGraph, bridge: Bridge) -> int | N
 
 
 def _cofacial_embedding_vv(g: Multigraph, x: int, y: int) -> RotationSystem | None:
-    """Embedding of planar g with x,y on a common face, or None if none exists."""
-    if x == y or g.are_adjacent(x, y):
-        res = test_planarity(g)
-        return res.embedding
+    """Embedding of planar g with non-adjacent x,y on a common face, or None if none exists."""
     g2, added = extend(g, [], [(x, y)])
     res = test_planarity(g2)
     if not res.planar:
@@ -223,11 +220,12 @@ def _find_detaching_cycle(g: Multigraph, x: int, y: int) -> Detached:
 
 def detaching_cycle_vv(g: Multigraph, x: int, y: int) -> DetachingVerdict:
     """Tutte's dichotomy: a cofacial embedding of x and y, or a detaching cycle."""
-    if not test_planarity(g).planar:
+    res = test_planarity(g)
+    if not res.planar:
         raise NonPlanarInput("detaching queries require a planar graph")
     if x == y:
         raise ValueError("need two distinct vertices")
-    emb = _cofacial_embedding_vv(g, x, y)
+    emb = res.embedding if g.are_adjacent(x, y) else _cofacial_embedding_vv(g, x, y)
     if emb is not None:
         _verify_cofacial_vv(g, emb, x, y)
         return Cofacial(emb)
@@ -247,11 +245,11 @@ def _verify_detached(g: Multigraph, d: Detached, x: int, y: int) -> None:
 
 def detaching_cycle_ve(g: Multigraph, x: int, f: int) -> DetachingVerdict:
     """Vertex-edge variant, via subdividing f and reusing the vertex form."""
-    if not test_planarity(g).planar:
+    res = test_planarity(g)
+    if not res.planar:
         raise NonPlanarInput("detaching queries require a planar graph")
     a, b = g.endpoints(f)
     if x in (a, b):
-        res = test_planarity(g)
         emb = res.embedding
         if face_with_vertex_and_edge(emb, x, f) is None:
             raise InconsistencyDetected("edge endpoint not on a face of its own edge")

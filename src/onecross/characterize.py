@@ -125,13 +125,13 @@ class OneDrawing:
 # ---------------------------------------------------------------------------
 
 
-def oracle_crossing_pair(g: Multigraph, p: EdgePair, known_nonplanar: bool = False) -> OneDrawing | None:
+def oracle_crossing_pair(g: Multigraph, p: EdgePair) -> OneDrawing | None:
     """A verified OneDrawing with the pair crossing, or None.
 
     Never consults the equivalence conditions: the answer is the planarity of
     the planarized graph. Raises PlanarInput on planar g.
     """
-    if not known_nonplanar and test_planarity(g).planar:
+    if test_planarity(g).planar:
         raise PlanarInput("crossing pairs are defined for nonplanar graphs")
     if set(g.endpoints(p.e)) & set(g.endpoints(p.f)):
         return None
@@ -248,7 +248,7 @@ def check_equivalence(
     if certs is None:
         certs = list(enumerate_kuratowski(g))
     sep = separated_by_cycles(g, p, budget=budget)
-    drawing = oracle_crossing_pair(g, p, known_nonplanar=True)
+    drawing = oracle_crossing_pair(g, p)
     two = condition_ii(g, p, certs=certs, separation=sep, budget=budget)
     three = condition_iii(g, p, certs=certs, separation=sep, budget=budget)
     report = ConditionReport(p, drawing is not None, drawing, two, three)
@@ -315,47 +315,13 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
         if sep.separated:
             failures.append(PairFailure(pair, "separated", sep))
             continue
-        drawing = oracle_crossing_pair(g, pair, known_nonplanar=True)
+        drawing = oracle_crossing_pair(g, pair)
         if drawing is None:
             raise InconsistencyDetected(
                 f"condition (iii) holds for ({pair.e},{pair.f}) but the oracle refuses it"
             )
         return CrossingDecision(EXACTLY_ONE, None, drawing, ())
     return CrossingDecision(AT_LEAST_TWO, None, None, tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# Potential crossing pairs (conjecture probing)
-# ---------------------------------------------------------------------------
-
-
-def potential_crossing_pairs(
-    g: Multigraph,
-    certs: Sequence[KuratowskiCert] | None = None,
-    budget: int | None = None,
-) -> list[tuple[EdgePair, SeparationVerdict]]:
-    """Pairs that are crossing pairs of every Kuratowski subdivision of g.
-
-    Each pair is annotated with its separation verdict. A pair that is
-    potential and not separated must be an actual crossing pair (the
-    (ii) -> (i) direction of the equivalence); this is asserted against the oracle.
-    """
-    if test_planarity(g).planar:
-        raise PlanarInput("potential crossing pairs concern nonplanar graphs")
-    if certs is None:
-        certs = list(enumerate_kuratowski(g))
-    out = []
-    for pair in vertex_disjoint_pairs(g):
-        if not all(_pair_crosses_cert(cert, pair) for cert in certs):
-            continue
-        sep = separated_by_cycles(g, pair, budget=budget)
-        if not sep.separated:
-            if oracle_crossing_pair(g, pair, known_nonplanar=True) is None:
-                raise InconsistencyDetected(
-                    "potential pair without separation must be a crossing pair"
-                )
-        out.append((pair, sep))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .characterize import (
     vertex_disjoint_pairs,
 )
 from .errors import BudgetExceeded, InconsistencyDetected, OnecrossError
+from .families import atlas_connected
 from .formats import FormatError, parse_input, write_graph6
 from .graph import EdgePair, Multigraph, make_pair
 from .kuratowski import enumerate_kuratowski
@@ -235,7 +236,7 @@ def cmd_draw(args: argparse.Namespace) -> int:
     if test_planarity(g).planar:
         sys.stderr.write("planar input: no crossing pairs\n")
         return EXIT_NOT_CROSSING_PAIR
-    drawing = oracle_crossing_pair(g, make_pair(e, f), known_nonplanar=True)
+    drawing = oracle_crossing_pair(g, make_pair(e, f))
     if drawing is None:
         sys.stderr.write(f"({args.pair[0]}) x ({args.pair[1]}) is not a crossing pair\n")
         return EXIT_NOT_CROSSING_PAIR
@@ -294,21 +295,6 @@ def _try_graph6(g: Multigraph) -> str | None:
         return None
 
 
-def _atlas_graphs(max_n: int) -> list[Multigraph]:
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
-
-    from .graph import build
-
-    out = []
-    for G in graph_atlas_g():
-        n = G.number_of_nodes()
-        if n == 0 or n > max_n or not nx.is_connected(G):
-            continue
-        out.append(build(sorted(tuple(sorted(e)) for e in G.edges()), vertices=range(n)))
-    return out
-
-
 def _random_graphs(count: int, max_n: int, max_edges: int | None, seed: int) -> list[Multigraph]:
     import random
 
@@ -345,7 +331,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         if args.max_n > 7:
             sys.stderr.write("exhaustive sweeps use the 7-vertex atlas; pass --count for random mode\n")
             return EXIT_BUDGET
-        graphs = _atlas_graphs(args.max_n)
+        graphs = atlas_connected(args.max_n)
 
     outcome = SweepOutcome()
     jobs = max(args.jobs, 1)

@@ -23,14 +23,15 @@ def parse_graph6(text: str) -> Multigraph:
         raise FormatError("only graph6 strings with up to 62 vertices are supported")
     bits_needed = n * (n - 1) // 2
     payload = s[1:]
+    chars_needed = -(-bits_needed // 6)
+    if len(payload) != chars_needed:
+        raise FormatError(f"graph6 payload for {n} vertices has {chars_needed} characters, got {len(payload)}")
     bits = []
     for ch in payload:
         val = ord(ch) - 63
         if val < 0 or val > 63:
             raise FormatError(f"invalid graph6 character {ch!r}")
         bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    if len(bits) < bits_needed:
-        raise FormatError("graph6 string too short for its vertex count")
     edges = []
     idx = 0
     for j in range(1, n):

@@ -294,22 +294,6 @@ class PathInGraph:
                 raise ValueError(f"edge {e} does not join consecutive path vertices")
 
 
-def cycle_from_vertices(g: Multigraph, vseq: Sequence[int]) -> PathInGraph:
-    """Close vseq into a cycle, picking the lowest unused edge between consecutive vertices."""
-    if len(vseq) < 2 or len(set(vseq)) != len(vseq):
-        raise NotACycle(f"not a usable vertex sequence: {vseq!r}")
-    closed = list(vseq) + [vseq[0]]
-    edges: list[int] = []
-    for a, b in zip(closed, closed[1:]):
-        between = [e for e in g.edges_between(a, b) if e not in edges]
-        if not between:
-            raise NotACycle(f"no unused edge between {a} and {b}")
-        edges.append(min(between))
-    cycle = PathInGraph(tuple(closed), tuple(edges))
-    cycle.validate(g)
-    return cycle
-
-
 def require_cycle(g: Multigraph, c: PathInGraph) -> None:
     if not c.is_cycle:
         raise NotACycle("path is not closed")

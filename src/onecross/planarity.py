@@ -1,8 +1,10 @@
-"""Planarity with certificates on both answers, plus combinatorial embeddings.
+"""Planarity decisions with a certificate for either answer, plus embeddings.
 
-A planar verdict carries a RotationSystem (cyclic edge order at each vertex),
-a nonplanar verdict carries a Kuratowski subdivision. The decision itself is
-delegated to networkx's left-right test on the parallel-reduced graph; the
+`test_planarity` is one decision: networkx's left-right test on the
+parallel-reduced graph. The certificate of the answer is built the first time
+a caller reads it, and cached: a planar result's `.embedding` is a
+RotationSystem (cyclic edge order at each vertex) that passes the Euler check,
+a nonplanar result's `.kuratowski` is a validated Kuratowski subdivision. The
 certificate extraction, face tracing, Euler validation and all embedding
 surgery are implemented here. An independent brute-force planarity oracle
 lives in `bruteforce` and never shares this code path.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 
@@ -351,16 +354,59 @@ def _pairs(items: Sequence[int]) -> list[tuple[int, int]]:
     return [(items[i], items[j]) for i in range(len(items)) for j in range(i + 1, len(items))]
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# The decision
+# ---------------------------------------------------------------------------
+
+
 class PlanarityResult:
-    planar: bool
-    embedding: RotationSystem | None
-    kuratowski: KuratowskiCert | None
+    """One planarity decision and the certificate of its answer.
 
+    `.embedding` (planar) or `.kuratowski` (nonplanar) is built, checked and
+    cached on its first read; the other one is None.
+    """
 
-# ---------------------------------------------------------------------------
-# The certified test
-# ---------------------------------------------------------------------------
+    def __init__(
+        self, planar: bool, g: Multigraph, simple: Multigraph, nx_embedding: nx.PlanarEmbedding | None
+    ) -> None:
+        self.planar = planar
+        self._graph = g
+        self._simple = simple
+        self._nx_embedding = nx_embedding
+
+    @cached_property
+    def embedding(self) -> RotationSystem | None:
+        """networkx's embedding re-expanded over g's parallel edges, Euler-checked."""
+        if not self.planar:
+            return None
+        g, gs = self._graph, self._simple
+        by_pair: dict[tuple[int, int], int] = {}
+        for e, (u, v) in gs.edge_items():
+            by_pair[(u, v)] = e
+            by_pair[(v, u)] = e
+        data = self._nx_embedding.get_data()
+        rotation: dict[int, tuple[int, ...]] = {}
+        classes = parallel_classes(g)
+        for v in sorted(g.vertices):
+            seq: list[int] = []
+            for w in data.get(v, []):
+                rep = by_pair[(v, w)]
+                klass = classes[rep]
+                order = klass if v < w else tuple(reversed(klass))
+                seq.extend(order)
+            rotation[v] = tuple(seq)
+        rs = RotationSystem(g, rotation)
+        if not rs.is_planar_embedding():
+            raise InconsistencyDetected("imported embedding failed the Euler check")
+        return rs
+
+    @cached_property
+    def kuratowski(self) -> KuratowskiCert | None:
+        if self.planar:
+            return None
+        cert = _extract_kuratowski(self._simple)
+        cert.validate(self._graph)
+        return cert
 
 
 def _to_nx(g: Multigraph) -> nx.Graph:
@@ -376,37 +422,14 @@ def _nx_is_planar(g: Multigraph) -> bool:
 
 
 def test_planarity(g: Multigraph) -> PlanarityResult:
-    """Decide planarity of a multigraph with a certificate either way.
+    """Decide planarity of a multigraph by one left-right test.
 
     Parallel edges are reduced to a single representative for the decision and
-    re-expanded into the returned embedding.
+    re-expanded into the embedding when it is read.
     """
     gs, _ = simplify(g)
     ok, emb = nx.check_planarity(_to_nx(gs), counterexample=False)
-    if not ok:
-        cert = _extract_kuratowski(gs)
-        cert.validate(g)
-        return PlanarityResult(False, None, cert)
-
-    by_pair: dict[tuple[int, int], int] = {}
-    for e, (u, v) in gs.edge_items():
-        by_pair[(u, v)] = e
-        by_pair[(v, u)] = e
-    data = emb.get_data()
-    rotation: dict[int, tuple[int, ...]] = {}
-    classes = parallel_classes(g)
-    for v in sorted(g.vertices):
-        seq: list[int] = []
-        for w in data.get(v, []):
-            rep = by_pair[(v, w)]
-            klass = classes[rep]
-            order = klass if v < w else tuple(reversed(klass))
-            seq.extend(order)
-        rotation[v] = tuple(seq)
-    rs = RotationSystem(g, rotation)
-    if not rs.is_planar_embedding():
-        raise InconsistencyDetected("imported embedding failed the Euler check")
-    return PlanarityResult(True, rs, None)
+    return PlanarityResult(ok, g, gs, emb)
 
 
 def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:

@@ -1,14 +1,18 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders and probes for the test suite."""
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 import networkx as nx
-from networkx.generators.atlas import graph_atlas_g
 
-from onecross.graph import Multigraph, build
-from onecross.planarity import test_planarity as run_planarity
+from onecross.characterize import _pair_crosses_cert, oracle_crossing_pair, vertex_disjoint_pairs
+from onecross.errors import InconsistencyDetected, NotACycle, PlanarInput
+from onecross.graph import EdgePair, Multigraph, PathInGraph, build
+from onecross.kuratowski import enumerate_kuratowski
+from onecross.planarity import KuratowskiCert, test_planarity as run_planarity
+from onecross.separation import SeparationVerdict, separated_by_cycles
 
 
 def nx_to_multigraph(G: nx.Graph) -> Multigraph:
@@ -16,18 +20,6 @@ def nx_to_multigraph(G: nx.Graph) -> Multigraph:
         sorted(tuple(sorted(e)) for e in G.edges()),
         vertices=range(G.number_of_nodes()),
     )
-
-
-def atlas_connected(max_n: int, max_m: int | None = None) -> list[Multigraph]:
-    out = []
-    for G in graph_atlas_g():
-        n = G.number_of_nodes()
-        if n == 0 or n > max_n or not nx.is_connected(G):
-            continue
-        if max_m is not None and G.number_of_edges() > max_m:
-            continue
-        out.append(nx_to_multigraph(G))
-    return out
 
 
 def random_planar_graph(rng: random.Random, n: int) -> Multigraph:
@@ -64,3 +56,48 @@ def random_nonplanar_graph(rng: random.Random, max_n: int) -> Multigraph:
         g = nx_to_multigraph(G)
         if not run_planarity(g).planar:
             return g
+
+
+def cycle_from_vertices(g: Multigraph, vseq: Sequence[int]) -> PathInGraph:
+    """Close vseq into a cycle, picking the lowest unused edge between consecutive vertices."""
+    if len(vseq) < 2 or len(set(vseq)) != len(vseq):
+        raise NotACycle(f"not a usable vertex sequence: {vseq!r}")
+    closed = list(vseq) + [vseq[0]]
+    edges: list[int] = []
+    for a, b in zip(closed, closed[1:]):
+        between = [e for e in g.edges_between(a, b) if e not in edges]
+        if not between:
+            raise NotACycle(f"no unused edge between {a} and {b}")
+        edges.append(min(between))
+    cycle = PathInGraph(tuple(closed), tuple(edges))
+    cycle.validate(g)
+    return cycle
+
+
+def potential_crossing_pairs(
+    g: Multigraph,
+    certs: Sequence[KuratowskiCert] | None = None,
+    budget: int | None = None,
+) -> list[tuple[EdgePair, SeparationVerdict]]:
+    """Pairs that are crossing pairs of every Kuratowski subdivision of g.
+
+    Each pair is annotated with its separation verdict. A pair that is
+    potential and not separated must be an actual crossing pair (the
+    (ii) -> (i) direction of the equivalence); this is asserted against the oracle.
+    """
+    if run_planarity(g).planar:
+        raise PlanarInput("potential crossing pairs concern nonplanar graphs")
+    if certs is None:
+        certs = list(enumerate_kuratowski(g))
+    out = []
+    for pair in vertex_disjoint_pairs(g):
+        if not all(_pair_crosses_cert(cert, pair) for cert in certs):
+            continue
+        sep = separated_by_cycles(g, pair, budget=budget)
+        if not sep.separated:
+            if oracle_crossing_pair(g, pair) is None:
+                raise InconsistencyDetected(
+                    "potential pair without separation must be a crossing pair"
+                )
+        out.append((pair, sep))
+    return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
@@ -25,14 +24,13 @@ from onecross.characterize import (
     condition_iii,
     crossing_number_le_1,
     oracle_crossing_pair,
-    potential_crossing_pairs,
     vertex_disjoint_pairs,
 )
 from onecross.graph import delete_edges, make_pair
 from onecross.kuratowski import branch_structure, enumerate_kuratowski, is_crossing_pair_in_kuratowski
 from onecross.planarity import face_with_vertices, test_planarity as run_planarity
 from onecross.separation import separated_by_cycles
-from helpers import nx_to_multigraph, random_nonplanar_graph, random_planar_graph
+from helpers import nx_to_multigraph, potential_crossing_pairs, random_nonplanar_graph, random_planar_graph
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -46,13 +44,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_equivalence_sweep():
-    graphs = []
-    for G in graph_atlas_g():
-        if G.number_of_nodes() == 0 or not nx.is_connected(G):
-            continue
-        g = nx_to_multigraph(G)
-        if not run_planarity(g).planar:
-            graphs.append(g)
+    graphs = [g for g in families.atlas_connected(7) if not run_planarity(g).planar]
 
     pairs = violations = 0
     for g in graphs:
@@ -86,7 +78,7 @@ def test_criterion_2_v8_fixture():
     got = [
         (p.e, p.f)
         for p in vertex_disjoint_pairs(v8)
-        if oracle_crossing_pair(v8, p, known_nonplanar=True) is not None
+        if oracle_crossing_pair(v8, p) is not None
     ]
     fig1_pair_present = (0, 4) in got
     chord = 9  # v1v5
@@ -126,10 +118,10 @@ def test_criterion_3_siran_fixture():
         and is_crossing_pair_in_kuratowski(branch_structure(c), pair_a.e, pair_a.f)
         for c in certs
     )
-    a_not_crossing = oracle_crossing_pair(g, pair_a, known_nonplanar=True) is None
+    a_not_crossing = oracle_crossing_pair(g, pair_a) is None
 
     b_not_separated = not separated_by_cycles(g, pair_b).separated
-    b_crossing = oracle_crossing_pair(g, pair_b, known_nonplanar=True) is not None
+    b_crossing = oracle_crossing_pair(g, pair_b) is not None
 
     _report(
         3,
@@ -194,7 +186,7 @@ def test_criterion_6_constructive_oracle_agreement():
         for pair in vertex_disjoint_pairs(g):
             pairs_checked += 1
             holds = condition_iii(g, pair, certs=certs).holds
-            gadget = oracle_crossing_pair(g, pair, known_nonplanar=True)
+            gadget = oracle_crossing_pair(g, pair)
             assert holds == (gadget is not None), "oracle and condition (iii) disagree"
             if holds:
                 eligible.append(pair)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import onecross.cli  # noqa: F401  (imports every layer the tracer wraps)
+from onecross import families
 from onecross.characterize import OneDrawing
 from onecross.graph import _StepBudget
 
@@ -46,3 +47,20 @@ def test_tracer_installs_and_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_tracer_counts_one_test_per_decision_and_the_cert_read():
+    k6 = families.complete_graph(6)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op(0)
+        res = sys.modules["onecross.planarity"].test_planarity(k6)
+        assert tracer.op_counts["planarity.nx_tests"] == 1
+        res.kuratowski.validate(k6)
+        tracer.end_op(keep_counts=True)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["planarity.calls"] == 1
+    assert tracer.counts["planarity.cert_results"] == 1
+    assert tracer.counts["planarity.cert_reads"] == 1

@@ -17,9 +17,9 @@ from onecross.bridges import (
 )
 from onecross.bruteforce import all_planar_rotations, rotation_count
 from onecross.errors import NonPlanarInput, SameBridge
-from onecross.graph import PathInGraph, all_cycles, build, cycle_from_vertices, delete_edges, extend
+from onecross.graph import PathInGraph, all_cycles, build, delete_edges, extend
 from onecross.planarity import face_with_vertices, test_planarity as run_planarity
-from helpers import atlas_connected, random_planar_graph
+from helpers import cycle_from_vertices, random_planar_graph
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_witness_vertices_lie_on_cycle(v8):
 
 def test_overlapping_bridges_on_distinct_sides():
     checked = 0
-    for g in atlas_connected(6):
+    for g in families.atlas_connected(6):
         if g.m < 4 or not run_planarity(g).planar or rotation_count(g) > 3000:
             continue
         cycles = list(all_cycles(g))[:4]

@@ -16,7 +16,6 @@ from onecross.characterize import (
     crossing_number_le_1,
     oracle_crossing_pair,
     planarize,
-    potential_crossing_pairs,
     unplanarize,
     vertex_disjoint_pairs,
 )
@@ -24,7 +23,7 @@ from onecross.errors import PlanarInput, PreconditionViolated
 from onecross.graph import delete_edges, make_pair
 from onecross.kuratowski import enumerate_kuratowski
 from onecross.planarity import test_planarity as run_planarity
-from helpers import atlas_connected, random_nonplanar_graph
+from helpers import potential_crossing_pairs, random_nonplanar_graph
 
 # V8 edge ids: rim i = (v_i, v_{i+1}) for i in 0..7, chord 8+i = (v_i, v_{i+4}).
 # Crossing pairs computed by the gadget oracle on first verified run and
@@ -71,7 +70,7 @@ def test_v8_fig1_pair_crosses(v8):
 
 def test_v8_frozen_pair_list(v8):
     got = [(p.e, p.f) for p in vertex_disjoint_pairs(v8)
-           if oracle_crossing_pair(v8, p, known_nonplanar=True) is not None]
+           if oracle_crossing_pair(v8, p) is not None]
     assert got == V8_CROSSING_PAIRS
 
 
@@ -86,12 +85,12 @@ def test_oracle_rejects_planar_input(q3):
 
 
 def test_oracle_rejects_adjacent_edges(v8):
-    assert oracle_crossing_pair(v8, make_pair(0, 1), known_nonplanar=True) is None
+    assert oracle_crossing_pair(v8, make_pair(0, 1)) is None
 
 
 def test_siran_pairs(siran):
-    assert oracle_crossing_pair(siran, make_pair(_sedge("u", "x"), _sedge("w", "z")), True) is None
-    drawing = oracle_crossing_pair(siran, make_pair(_sedge("u", "y"), _sedge("w", "z")), True)
+    assert oracle_crossing_pair(siran, make_pair(_sedge("u", "x"), _sedge("w", "z"))) is None
+    drawing = oracle_crossing_pair(siran, make_pair(_sedge("u", "y"), _sedge("w", "z")))
     assert drawing is not None
     drawing.validate(siran)
 
@@ -222,7 +221,7 @@ def test_constructive_v8_matches_oracle_up_to_reflection(v8):
     p = make_pair(0, 4)
     built = build_one_drawing_constructive(v8, p)
     built.validate(v8)
-    gadget = oracle_crossing_pair(v8, p, known_nonplanar=True)
+    gadget = oracle_crossing_pair(v8, p)
     assert _canon(built.rotation) in (_canon(gadget.rotation), _canon(gadget.rotation.mirrored()))
 
 
@@ -249,7 +248,7 @@ def test_constructive_agrees_with_oracle_random():
     for _ in range(12):
         g = random_nonplanar_graph(rng, 9)
         for p in vertex_disjoint_pairs(g):
-            gadget = oracle_crossing_pair(g, p, known_nonplanar=True)
+            gadget = oracle_crossing_pair(g, p)
             holds = condition_iii(g, p).holds
             assert holds == (gadget is not None)
             if holds:
@@ -289,11 +288,11 @@ def test_siran_potential_pairs(siran):
 
 def test_fact_one_crossing_pair_deletions_planar():
     checked = 0
-    for g in atlas_connected(6):
+    for g in families.atlas_connected(6):
         if run_planarity(g).planar:
             continue
         for p in vertex_disjoint_pairs(g):
-            if oracle_crossing_pair(g, p, known_nonplanar=True) is not None:
+            if oracle_crossing_pair(g, p) is not None:
                 assert run_planarity(delete_edges(g, [p.e])).planar
                 assert run_planarity(delete_edges(g, [p.f])).planar
                 checked += 1
@@ -303,7 +302,7 @@ def test_fact_one_crossing_pair_deletions_planar():
 def test_fact_two_implies_fact_one():
     # crossing pair of every Kuratowski subgraph forces both deletions planar,
     # independently of the separation conjunct
-    for g in atlas_connected(6):
+    for g in families.atlas_connected(6):
         if run_planarity(g).planar:
             continue
         certs = list(enumerate_kuratowski(g))

@@ -55,6 +55,14 @@ def test_graph6_rejects_truncation():
         parse_graph6("F")  # seven vertices, no adjacency payload
 
 
+def test_cli_graph6_rejects_trailing_characters(tmp_path):
+    for text, code in (("A_x", 64), ("DQcx", 64), ("A_", 0), ("DQc", 0)):
+        path = tmp_path / "g.g6"
+        path.write_text(text + "\n")
+        assert main(["decide", str(path)]) == code, text
+    assert parse_graph6("DQc").n == 5
+
+
 def test_nx_agreement():
     import networkx as nx
 

@@ -10,7 +10,6 @@ from onecross.graph import (
     PathInGraph,
     build,
     bridge_edge_groups,
-    cycle_from_vertices,
     cycles_through_edge,
     delete_edges,
     extend,
@@ -20,6 +19,7 @@ from onecross.graph import (
     simplify,
     subdivide_edge,
 )
+from helpers import cycle_from_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +272,6 @@ def test_make_pair_normalizes():
 
 def test_avoiding_paths_empty_h_matches_dfs_on_atlas():
     # independent recursive enumeration over vertex sequences, small corpus
-    from helpers import atlas_connected
-
     def all_simple(g, u, t, seen):
         if u == t:
             yield (t,)
@@ -285,7 +283,7 @@ def test_avoiding_paths_empty_h_matches_dfs_on_atlas():
             for rest in all_simple(g, w, t, seen | {w}):
                 yield (u,) + rest
 
-    for g in atlas_connected(6)[::7]:
+    for g in families.atlas_connected(6)[::7]:
         if g.n < 2:
             continue  # the walker joins two distinct vertices
         vs = sorted(g.vertices)

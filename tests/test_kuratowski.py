@@ -118,7 +118,7 @@ def test_agrees_with_gadget_oracle_on_kuratowski_graphs(k5, k33):
         ids = sorted(h.edge_ids())
         for e, f in combinations(ids, 2):
             combinatorial = is_crossing_pair_in_kuratowski(bs, e, f)
-            gadget = oracle_crossing_pair(h, make_pair(e, f), known_nonplanar=True)
+            gadget = oracle_crossing_pair(h, make_pair(e, f))
             assert combinatorial == (gadget is not None), (h.edge_items(), e, f)
 
 

@@ -38,5 +38,5 @@ def test_svg_renders_crossing_marker():
 
 def test_k33_drawing_renders():
     k33 = families.complete_bipartite(3, 3)
-    drawing = oracle_crossing_pair(k33, make_pair(0, 4), known_nonplanar=True)
+    drawing = oracle_crossing_pair(k33, make_pair(0, 4))
     assert to_svg(drawing).startswith("<svg")

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
+import onecross.planarity as planarity
 from onecross import families
 from onecross.bruteforce import all_planar_rotations, exhaustive_planar, rotation_count
 from onecross.errors import NotPlanarEmbedding
-from onecross.graph import build, cycle_from_vertices, delete_edges, extend, restrict, simplify
+from onecross.graph import build, delete_edges, extend, restrict, simplify
 from onecross.planarity import (
     cycle_face_walk,
     embed_with_outer_cycle,
@@ -17,12 +19,45 @@ from onecross.planarity import (
     embedding_subdivide_edge,
     test_planarity as run_planarity,
 )
-from helpers import atlas_connected, random_planar_graph
+from helpers import cycle_from_vertices, random_planar_graph
 
 
 # ---------------------------------------------------------------------------
 # test_planarity
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def lr_tests(monkeypatch) -> list[int]:
+    """Records each networkx left-right test that onecross.planarity makes."""
+    calls: list[int] = []
+
+    class CountingNetworkx:
+        def check_planarity(self, *args, **kwargs):
+            calls.append(1)
+            return nx.check_planarity(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(nx, name)
+
+    monkeypatch.setattr(planarity, "nx", CountingNetworkx())
+    return calls
+
+
+def test_decision_is_one_left_right_test(k6, lr_tests):
+    assert not run_planarity(k6).planar
+    assert len(lr_tests) == 1
+
+
+def test_kuratowski_built_on_first_read_then_cached(k6, lr_tests):
+    res = run_planarity(k6)
+    decided = len(lr_tests)
+    cert = res.kuratowski
+    cert.validate(k6)
+    extracted = len(lr_tests)
+    assert extracted > decided
+    assert res.kuratowski is cert
+    assert len(lr_tests) == extracted
 
 
 def test_k4_planar_four_faces(k4):
@@ -43,7 +78,6 @@ def test_k5_certificate_is_k5(k5):
     res = run_planarity(k5)
     assert not res.planar
     cert = res.kuratowski
-    assert cert.kind == "K5"
     assert set(cert.edges) == set(k5.edge_ids())
     assert all(b.length == 1 for b in cert.branches)
 
@@ -168,7 +202,7 @@ def test_outer_cycle_with_confined_bridges():
 
 def test_outer_cycle_matches_bruteforce_on_small_graphs():
     rng = random.Random(7)
-    graphs = [g for g in atlas_connected(5) if g.m >= 3]
+    graphs = [g for g in families.atlas_connected(5) if g.m >= 3]
     rng.shuffle(graphs)
     checked = 0
     for g in graphs[:40]:
@@ -190,7 +224,7 @@ def test_outer_cycle_matches_bruteforce_on_small_graphs():
 
 
 def test_decision_matches_bruteforce_atlas_to_six():
-    for g in atlas_connected(6):
+    for g in families.atlas_connected(6):
         if rotation_count(g) > 200_000:
             continue
         assert run_planarity(g).planar == exhaustive_planar(g), g.edge_items()
@@ -198,7 +232,7 @@ def test_decision_matches_bruteforce_atlas_to_six():
 
 def test_decision_matches_bruteforce_on_seven_vertex_samples():
     rng = random.Random(2024)
-    graphs = [g for g in atlas_connected(7) if g.n == 7]
+    graphs = [g for g in families.atlas_connected(7) if g.n == 7]
     rng.shuffle(graphs)
     checked = 0
     for g in graphs:
@@ -299,7 +333,7 @@ def test_outer_cycle_stacked_confined_bridges():
 
 
 def test_exactly_one_certificate_arm():
-    for g in atlas_connected(6)[::5]:
+    for g in families.atlas_connected(6)[::5]:
         res = run_planarity(g)
         assert (res.embedding is None) != (res.kuratowski is None)
         assert res.planar == (res.embedding is not None)

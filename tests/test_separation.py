@@ -10,7 +10,6 @@ from onecross.errors import SearchBudgetExceeded
 from onecross.graph import build, extend, make_pair
 from onecross.planarity import test_planarity as run_planarity
 from onecross.separation import separated_by_cycles, verify_separation_witness
-from helpers import atlas_connected
 
 
 def _edge(name_a, name_b):
@@ -62,12 +61,12 @@ def test_monotone_under_supergraphs(siran):
 def test_separated_pairs_are_never_crossing_pairs():
     # disjoint cycles cross an even number of times: separation refutes the oracle
     checked = 0
-    for g in atlas_connected(7):
+    for g in families.atlas_connected(7):
         if run_planarity(g).planar or g.n < 6:
             continue
         for p in vertex_disjoint_pairs(g):
             if separated_by_cycles(g, p).separated:
-                assert oracle_crossing_pair(g, p, known_nonplanar=True) is None
+                assert oracle_crossing_pair(g, p) is None
                 checked += 1
         if checked > 120:
             break
@@ -76,7 +75,7 @@ def test_separated_pairs_are_never_crossing_pairs():
 
 def test_minimum_witness_needs_six_vertices():
     rng = random.Random(1)
-    for g in atlas_connected(5):
+    for g in families.atlas_connected(5):
         for p in vertex_disjoint_pairs(g):
             verdict = separated_by_cycles(g, p)
             if verdict.separated:
