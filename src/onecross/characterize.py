@@ -306,9 +306,12 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
 
     failures = []
     for pair in candidates:
-        if not test_planarity(delete_edges(g, [pair.e])).planar or not test_planarity(
-            delete_edges(g, [pair.f])
-        ).planar:
+        deletion = test_planarity(delete_edges(g, [pair.e]))
+        if deletion.planar:
+            deletion = test_planarity(delete_edges(g, [pair.f]))
+        if not deletion.planar:
+            # this failure is evidence for cr >= 2: build and validate its certificate
+            deletion.kuratowski
             failures.append(PairFailure(pair, "deletion_nonplanar", None))
             continue
         sep = separated_by_cycles(g, pair, budget=budget)

@@ -76,14 +76,12 @@ def siran_edge(a: str, b: str) -> int:
     raise ValueError(f"no edge {a}{b} in the Siran graph")
 
 
-def atlas_connected(max_n: int, max_m: int | None = None) -> list[Multigraph]:
-    """Connected graphs of the networkx atlas, in atlas order, with 1..max_n vertices and at most max_m edges."""
+def atlas_connected(max_n: int) -> list[Multigraph]:
+    """Connected graphs of the networkx atlas, in atlas order, with 1..max_n vertices."""
     out = []
     for G in graph_atlas_g():
         n = G.number_of_nodes()
         if n == 0 or n > max_n or not nx.is_connected(G):
-            continue
-        if max_m is not None and G.number_of_edges() > max_m:
             continue
         out.append(build(sorted(tuple(sorted(e)) for e in G.edges()), vertices=range(n)))
     return out

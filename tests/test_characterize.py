@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import onecross.planarity as planarity
 from onecross import families
 from onecross.characterize import (
     AT_LEAST_TWO,
@@ -178,11 +179,23 @@ def test_decide_v8(v8):
     decision.drawing.validate(v8)
 
 
-def test_decide_k6(k6):
+def test_decide_k6(k6, monkeypatch):
+    built = []
+    extract = planarity._extract_kuratowski
+
+    def recording(gs):
+        built.append(gs.m)
+        return extract(gs)
+
+    monkeypatch.setattr(planarity, "_extract_kuratowski", recording)
     decision = crossing_number_le_1(k6)
     assert decision.kind == AT_LEAST_TWO
     assert decision.failures
     assert all(f.reason in ("separated", "deletion_nonplanar") for f in decision.failures)
+    # each nonplanar deletion behind the verdict got a validated Kuratowski subdivision
+    deletions = [f for f in decision.failures if f.reason == "deletion_nonplanar"]
+    assert deletions
+    assert built.count(k6.m - 1) == len(deletions)
 
 
 def test_decide_planar(q3):

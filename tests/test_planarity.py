@@ -78,6 +78,7 @@ def test_k5_certificate_is_k5(k5):
     res = run_planarity(k5)
     assert not res.planar
     cert = res.kuratowski
+    assert cert.kind == "K5"
     assert set(cert.edges) == set(k5.edge_ids())
     assert all(b.length == 1 for b in cert.branches)
 
