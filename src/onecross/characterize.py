@@ -9,7 +9,8 @@ Three independently computed conditions must always agree:
   (iii) the pair is not separated, both single-edge deletions are planar, and
         some Kuratowski subdivision has the pair as a crossing pair.
 
-Any disagreement aborts loudly: it can only be an implementation bug.
+A disagreement can only be an implementation bug: `onecross pairs` aborts
+loudly on it and `onecross corpus` counts it.
 The constructive builder produces a one-crossing drawing by embedding the two
 sides of a detaching cycle with prescribed outer face and cofaciality, gluing
 them back together and routing the crossing through the shared cycle edge.
@@ -17,7 +18,8 @@ them back together and routing the crossing through the shared cycle edge.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import functools
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .bridges import Detached, decompose, detaching_cycle_vv, overlap, side_of_bridge
@@ -36,6 +38,7 @@ from .graph import (
 from .kuratowski import branch_structure, enumerate_kuratowski, is_crossing_pair_in_kuratowski
 from .planarity import (
     KuratowskiCert,
+    PlanarityResult,
     RotationSystem,
     cycle_face_walk,
     embed_with_outer_cycle,
@@ -183,44 +186,36 @@ def _pair_crosses_cert(cert: KuratowskiCert, p: EdgePair) -> bool:
     return is_crossing_pair_in_kuratowski(branch_structure(cert), p.e, p.f)
 
 
-def condition_ii(
-    g: Multigraph,
-    p: EdgePair,
-    certs: Sequence[KuratowskiCert] | None = None,
-    separation: SeparationVerdict | None = None,
-    budget: int | None = None,
-) -> CondII:
-    """Crossing pair of every Kuratowski subdivision, and not separated."""
-    source: Iterator[KuratowskiCert] = iter(certs) if certs is not None else enumerate_kuratowski(g)
+def condition_ii(p: EdgePair, certs: Iterable[KuratowskiCert], sep: SeparationVerdict) -> CondII:
+    """Crossing pair of every Kuratowski subdivision, and not separated.
+
+    `certs` are all Kuratowski subdivisions of g, read in order up to the first
+    one the pair does not cross; `sep` is the pair's separation verdict.
+    """
     checked = 0
-    for cert in source:
+    for cert in certs:
         checked += 1
         if not _pair_crosses_cert(cert, p):
             return CondII(False, cert, checked, None)
-    sep = separation if separation is not None else separated_by_cycles(g, p, budget=budget)
     return CondII(not sep.separated, None, checked, sep)
 
 
 def condition_iii(
-    g: Multigraph,
     p: EdgePair,
-    certs: Sequence[KuratowskiCert] | None = None,
-    separation: SeparationVerdict | None = None,
-    budget: int | None = None,
+    certs: Iterable[KuratowskiCert],
+    sep: SeparationVerdict,
+    planar_minus_e: bool,
+    planar_minus_f: bool,
 ) -> CondIII:
-    """Not separated, both deletions planar, and some subdivision crosses the pair."""
-    sep = separation if separation is not None else separated_by_cycles(g, p, budget=budget)
-    pe = test_planarity(delete_edges(g, [p.e])).planar
-    pf = test_planarity(delete_edges(g, [p.f])).planar
+    """Not separated, both deletions planar, and some subdivision crosses the pair.
+
+    `certs` are the Kuratowski subdivisions of g, read only when the other
+    conjuncts hold and only up to the first that crosses the pair.
+    """
     witness = None
-    if not sep.separated and pe and pf:
-        source: Iterator[KuratowskiCert] = iter(certs) if certs is not None else enumerate_kuratowski(g)
-        for cert in source:
-            if _pair_crosses_cert(cert, p):
-                witness = cert
-                break
-    holds = (not sep.separated) and pe and pf and witness is not None
-    return CondIII(holds, sep, pe, pf, witness)
+    if not sep.separated and planar_minus_e and planar_minus_f:
+        witness = next((cert for cert in certs if _pair_crosses_cert(cert, p)), None)
+    return CondIII(witness is not None, sep, planar_minus_e, planar_minus_f, witness)
 
 
 @dataclass(frozen=True)
@@ -236,28 +231,37 @@ class ConditionReport:
         return self.cond_i == self.cond_ii.holds == self.cond_iii.holds
 
 
+def _deletion_tests(g: Multigraph) -> Callable[[int], PlanarityResult]:
+    """Planarity of g - x for an edge x, tested at most once per edge."""
+    return functools.cache(lambda x: test_planarity(delete_edges(g, [x])))
+
+
 def check_equivalence(
-    g: Multigraph,
-    p: EdgePair,
-    certs: Sequence[KuratowskiCert] | None = None,
-    budget: int | None = None,
-) -> ConditionReport:
-    """Compute all three conditions independently and insist they agree."""
+    g: Multigraph, budget: int | None = None
+) -> tuple[list[KuratowskiCert], Iterator[ConditionReport]]:
+    """All Kuratowski subdivisions of g and a lazy report per vertex-disjoint pair.
+
+    g is tested once (PlanarInput if planar) and its subdivisions enumerated
+    once; each G - x is decided at most once, however many pairs contain x.
+    Each report, in `vertex_disjoint_pairs` order, computes the three
+    conditions independently from that shared evidence; a disagreement shows
+    as `not report.consistent` and is the caller's to raise. `budget` bounds
+    each pair's separation search.
+    """
     if test_planarity(g).planar:
         raise PlanarInput("the equivalence concerns nonplanar graphs")
-    if certs is None:
-        certs = list(enumerate_kuratowski(g))
-    sep = separated_by_cycles(g, p, budget=budget)
-    drawing = oracle_crossing_pair(g, p)
-    two = condition_ii(g, p, certs=certs, separation=sep, budget=budget)
-    three = condition_iii(g, p, certs=certs, separation=sep, budget=budget)
-    report = ConditionReport(p, drawing is not None, drawing, two, three)
-    if not report.consistent:
-        raise InconsistencyDetected(
-            f"equivalence conditions disagree on pair ({p.e},{p.f}): "
-            f"i={report.cond_i} ii={two.holds} iii={three.holds}"
-        )
-    return report
+    certs = list(enumerate_kuratowski(g))
+    deletion = _deletion_tests(g)
+
+    def reports() -> Iterator[ConditionReport]:
+        for p in vertex_disjoint_pairs(g):
+            sep = separated_by_cycles(g, p, budget=budget)
+            drawing = oracle_crossing_pair(g, p)
+            two = condition_ii(p, certs, sep)
+            three = condition_iii(p, certs, sep, deletion(p.e).planar, deletion(p.f).planar)
+            yield ConditionReport(p, drawing is not None, drawing, two, three)
+
+    return certs, reports()
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +308,15 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
             if is_crossing_pair_in_kuratowski(bs, e, f):
                 candidates.append(make_pair(e, f))
 
+    deletion = _deletion_tests(g)
     failures = []
     for pair in candidates:
-        deletion = test_planarity(delete_edges(g, [pair.e]))
-        if deletion.planar:
-            deletion = test_planarity(delete_edges(g, [pair.f]))
-        if not deletion.planar:
-            # this failure is evidence for cr >= 2: build and validate its certificate
-            deletion.kuratowski
+        minus = deletion(pair.e)
+        if minus.planar:
+            minus = deletion(pair.f)
+        if not minus.planar:
+            # evidence for cr >= 2: its certificate is built and validated once per edge
+            minus.kuratowski
             failures.append(PairFailure(pair, "deletion_nonplanar", None))
             continue
         sep = separated_by_cycles(g, pair, budget=budget)
@@ -339,11 +344,16 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
     g-e, split the bridges by side of C, re-embed each side with C bounding a
     face and the side's end of e cofacial with f, glue, subdivide f at the
     crossing vertex and route the halves of e through the two cofacial faces.
+    Condition (iii) is checked first, on the evidence for this one pair.
     """
-    cond = condition_iii(g, p)
+    e, f = p.e, p.f
+    g_minus_e = delete_edges(g, [e])
+    minus_e = test_planarity(g_minus_e)
+    planar_minus_f = test_planarity(delete_edges(g, [f])).planar
+    sep = separated_by_cycles(g, p)
+    cond = condition_iii(p, enumerate_kuratowski(g), sep, minus_e.planar, planar_minus_f)
     if not cond.holds:
         raise PreconditionViolated("condition (iii) does not hold for this pair")
-    e, f = p.e, p.f
     u, v = g.endpoints(e)
 
     cert = cond.witness_cert
@@ -355,11 +365,7 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
     if f not in cycle.edge_set() or u in cycle.vertex_set() or v in cycle.vertex_set():
         raise InconsistencyDetected("detaching cycle must carry f and avoid the ends of e")
 
-    g_minus_e = delete_edges(g, [e])
-    emb = test_planarity(g_minus_e).embedding
-    if emb is None:
-        raise InconsistencyDetected("g - e must be planar under condition (iii)")
-
+    emb = minus_e.embedding  # g - e is planar under condition (iii)
     all_bridges = decompose(g_minus_e, cycle)
     bridge_u = next(b for b in all_bridges if u in b.nucleus)
     bridge_v = next(b for b in all_bridges if v in b.nucleus)

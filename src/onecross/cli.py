@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any
 
 from .characterize import (
@@ -26,13 +25,11 @@ from .characterize import (
     check_equivalence,
     crossing_number_le_1,
     oracle_crossing_pair,
-    vertex_disjoint_pairs,
 )
-from .errors import BudgetExceeded, InconsistencyDetected, OnecrossError
+from .errors import BudgetExceeded, InconsistencyDetected, OnecrossError, PlanarInput
 from .families import atlas_connected
 from .formats import FormatError, parse_input, write_graph6
 from .graph import EdgePair, Multigraph, make_pair
-from .kuratowski import enumerate_kuratowski
 from .layout import to_dot, to_svg
 from .planarity import KuratowskiCert, RotationSystem, test_planarity
 from .separation import SeparationVerdict, verify_separation_witness
@@ -186,17 +183,22 @@ def _condition_report_json(r: ConditionReport) -> dict[str, Any]:
 def cmd_pairs(args: argparse.Namespace) -> int:
     g, _labels = _load(args)
     t0 = time.perf_counter()
-    if test_planarity(g).planar:
+    try:
+        certs, reports = check_equivalence(g, budget=args.budget_steps)
+    except PlanarInput:
         sys.stderr.write("planar: no crossing pairs\n")
         return EXIT_PLANAR_INPUT
-    certs = list(enumerate_kuratowski(g))
     crossing = []
     rejected = []
     witnessed = []
-    for pair in vertex_disjoint_pairs(g):
-        report = check_equivalence(g, pair, certs=certs, budget=args.budget_steps)
-        (crossing if report.cond_i else rejected).append(_condition_report_json(report))
-        witnessed.append((pair, report.cond_iii.separation))
+    for r in reports:
+        if not r.consistent:
+            raise InconsistencyDetected(
+                f"equivalence conditions disagree on pair ({r.pair.e},{r.pair.f}): "
+                f"i={r.cond_i} ii={r.cond_ii.holds} iii={r.cond_iii.holds}"
+            )
+        (crossing if r.cond_i else rejected).append(_condition_report_json(r))
+        witnessed.append((r.pair, r.cond_iii.separation))
     elapsed = time.perf_counter() - t0
     body = {
         "crossing_pairs": crossing,
@@ -204,8 +206,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         "kuratowski_count": len(certs),
     }
     if args.verify:
-        # check_equivalence already aborts loudly on disagreement; re-check the
-        # certificates that ended up in the report
+        # every report agreed; re-check the certificates that ended up in it
         _verify_report(g, None, None, certs=certs, witnessed_pairs=witnessed)
         body["verified"] = True
     sys.stdout.write(_report("pairs", g, body, elapsed if args.timing else None))
@@ -257,34 +258,25 @@ def cmd_draw(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepOutcome:
-    graphs: int = 0
-    pairs: int = 0
-    crossing_pairs: int = 0
-    inconsistencies: int = 0
-    failing: dict[str, Any] | None = None
-
-
 def _sweep_graph(g: Multigraph, budget: int | None) -> tuple[int, int, int, dict[str, Any] | None] | None:
     """Pair totals of one graph, or None when the budget ran out on it."""
-    if test_planarity(g).planar:
+    try:
+        _certs, reports = check_equivalence(g, budget=budget)
+    except PlanarInput:
         return 0, 0, 0, None
-    certs = list(enumerate_kuratowski(g))
     pairs = crossing = bad = 0
     failing = None
-    for pair in vertex_disjoint_pairs(g):
-        pairs += 1
-        try:
-            report = check_equivalence(g, pair, certs=certs, budget=budget)
-            if report.cond_i:
+    try:
+        for r in reports:
+            pairs += 1
+            if not r.consistent:
+                bad += 1
+                if failing is None:
+                    failing = {"graph6": _try_graph6(g), "pair": [r.pair.e, r.pair.f]}
+            elif r.cond_i:
                 crossing += 1
-        except InconsistencyDetected:
-            bad += 1
-            if failing is None:
-                failing = {"graph6": _try_graph6(g), "pair": [pair.e, pair.f]}
-        except BudgetExceeded:
-            return None
+    except BudgetExceeded:
+        return None
     return pairs, crossing, bad, failing
 
 
@@ -325,7 +317,16 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if args.max_n > 12:
         sys.stderr.write("corpus sweeps are gated to max-n <= 12\n")
         return EXIT_BUDGET
+    if args.count < 0:
+        sys.stderr.write("--count must be positive, or 0 for the atlas\n")
+        return EXIT_PARSE
     if args.count:
+        if args.max_n < 5:
+            sys.stderr.write("random graphs have at least 5 vertices: pass --max-n 5 or more\n")
+            return EXIT_PARSE
+        if args.max_edges is not None and args.max_edges < args.max_n:
+            sys.stderr.write("random graphs have at least as many edges as vertices: pass --max-edges >= --max-n\n")
+            return EXIT_PARSE
         graphs = _random_graphs(args.count, args.max_n, args.max_edges, args.seed)
     else:
         if args.max_n > 7:
@@ -333,7 +334,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             return EXIT_BUDGET
         graphs = atlas_connected(args.max_n)
 
-    outcome = SweepOutcome()
     jobs = max(args.jobs, 1)
     if jobs > 1:
         import multiprocessing as mp
@@ -343,36 +343,28 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     else:
         results = [_sweep_graph(g, args.budget_steps) for g in graphs]
 
-    skipped = []
-    for g, result in zip(graphs, results):
-        if result is None:
-            skipped.append(_try_graph6(g))
-            continue
-        pairs, crossing, bad, failing = result
-        outcome.graphs += 1
-        outcome.pairs += pairs
-        outcome.crossing_pairs += crossing
-        outcome.inconsistencies += bad
-        if failing and outcome.failing is None:
-            outcome.failing = failing
+    skipped = [_try_graph6(g) for g, result in zip(graphs, results) if result is None]
+    swept = [result for result in results if result is not None]
+    pairs, crossing, bad = (sum(result[i] for result in swept) for i in range(3))
+    failing = next((result[3] for result in swept if result[3]), None)
 
     body: dict[str, Any] = {
-        "graphs_checked": outcome.graphs,
-        "pairs_checked": outcome.pairs,
-        "crossing_pairs": outcome.crossing_pairs,
-        "inconsistencies": outcome.inconsistencies,
+        "graphs_checked": len(swept),
+        "pairs_checked": pairs,
+        "crossing_pairs": crossing,
+        "inconsistencies": bad,
         "seed": args.seed,
         "max_n": args.max_n,
         "partial": bool(skipped),
     }
     if skipped:
         body["skipped"] = skipped
-    if outcome.failing:
-        body["minimal_failing"] = outcome.failing
+    if failing:
+        body["minimal_failing"] = failing
     sys.stdout.write(_report("corpus", None, body, (time.perf_counter() - t0) if args.timing else None))
     if skipped:
         return EXIT_BUDGET
-    if outcome.inconsistencies:
+    if bad:
         return EXIT_INCONSISTENT
     return 0
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, settings
 
+import onecross.planarity as planarity
 from onecross import families
 from onecross.graph import Multigraph
 
@@ -54,3 +56,20 @@ def k34() -> Multigraph:
 @pytest.fixture(scope="session")
 def q3() -> Multigraph:
     return families.cube_graph()
+
+
+@pytest.fixture()
+def lr_tests(monkeypatch) -> list[int]:
+    """Records each networkx left-right test that onecross.planarity makes."""
+    calls: list[int] = []
+
+    class CountingNetworkx:
+        def check_planarity(self, *args, **kwargs):
+            calls.append(1)
+            return nx.check_planarity(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(nx, name)
+
+    monkeypatch.setattr(planarity, "nx", CountingNetworkx())
+    return calls

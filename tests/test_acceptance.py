@@ -21,7 +21,6 @@ from onecross.characterize import (
     EXACTLY_ONE,
     build_one_drawing_constructive,
     check_equivalence,
-    condition_iii,
     crossing_number_le_1,
     oracle_crossing_pair,
     vertex_disjoint_pairs,
@@ -48,12 +47,10 @@ def test_criterion_1_equivalence_sweep():
 
     pairs = violations = 0
     for g in graphs:
-        certs = list(enumerate_kuratowski(g))
-        for pair in vertex_disjoint_pairs(g):
+        _certs, reports = check_equivalence(g)
+        for report in reports:
             pairs += 1
-            report = check_equivalence(g, pair, certs=certs)  # raises on violation
-            if not report.consistent:  # unreachable: kept for the count
-                violations += 1
+            violations += not report.consistent
     _report(
         1,
         violations == 0 and len(graphs) == 221 and pairs == 10065,
@@ -181,15 +178,14 @@ def test_criterion_6_constructive_oracle_agreement():
     graphs_used = built = pairs_checked = 0
     while graphs_used < 200:
         g = random_nonplanar_graph(rng, 10)
-        certs = list(enumerate_kuratowski(g))
+        _certs, reports = check_equivalence(g)
         eligible = []
-        for pair in vertex_disjoint_pairs(g):
+        for report in reports:
             pairs_checked += 1
-            holds = condition_iii(g, pair, certs=certs).holds
-            gadget = oracle_crossing_pair(g, pair)
-            assert holds == (gadget is not None), "oracle and condition (iii) disagree"
+            holds = report.cond_iii.holds
+            assert holds == (report.drawing is not None), "oracle and condition (iii) disagree"
             if holds:
-                eligible.append(pair)
+                eligible.append(report.pair)
         if not eligible:
             continue
         graphs_used += 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -24,6 +25,7 @@ from onecross.errors import PlanarInput, PreconditionViolated
 from onecross.graph import delete_edges, make_pair
 from onecross.kuratowski import enumerate_kuratowski
 from onecross.planarity import test_planarity as run_planarity
+from onecross.separation import separated_by_cycles
 from helpers import potential_crossing_pairs, random_nonplanar_graph
 
 # V8 edge ids: rim i = (v_i, v_{i+1}) for i in 0..7, chord 8+i = (v_i, v_{i+4}).
@@ -101,41 +103,58 @@ def test_siran_pairs(siran):
 # ---------------------------------------------------------------------------
 
 
+def _evidence(g, p):
+    """What conditions (ii) and (iii) read about one pair: certificates,
+    separation verdict, and the planarity of g - e and of g - f."""
+    certs = list(enumerate_kuratowski(g))
+    planar_minus = [run_planarity(delete_edges(g, [x])).planar for x in (p.e, p.f)]
+    return certs, separated_by_cycles(g, p), *planar_minus
+
+
+def _sweep_report(g, p):
+    _certs, reports = check_equivalence(g)
+    return next(r for r in reports if r.pair == p)
+
+
 def test_condition_ii_siran_separated_pair(siran):
-    two = condition_ii(siran, make_pair(_sedge("u", "x"), _sedge("w", "z")))
+    two = _sweep_report(siran, make_pair(_sedge("u", "x"), _sedge("w", "z"))).cond_ii
     assert not two.holds
     assert two.failing_cert is None  # first conjunct passes: only one Kuratowski
     assert two.separation is not None and two.separation.separated
 
 
 def test_condition_ii_v8_true_pair(v8):
-    two = condition_ii(v8, make_pair(0, 4))
+    two = _sweep_report(v8, make_pair(0, 4)).cond_ii
     assert two.holds and two.certs_checked > 0
 
 
 def test_condition_ii_k5_adjacent_pair(k5):
-    two = condition_ii(k5, make_pair(0, 1))
+    p = make_pair(0, 1)
+    certs, sep, *_ = _evidence(k5, p)
+    two = condition_ii(p, certs, sep)
     assert not two.holds
     assert two.failing_cert is not None
 
 
 def test_condition_iii_v8(v8):
-    three = condition_iii(v8, make_pair(0, 4))
+    three = _sweep_report(v8, make_pair(0, 4)).cond_iii
     assert three.holds
     assert three.witness_cert is not None and three.witness_cert.kind == "K33"
     assert three.planar_minus_e and three.planar_minus_f
 
 
 def test_condition_iii_v8_adjacent_pair(v8):
-    three = condition_iii(v8, make_pair(0, 9))  # v0v1 and v1v5 share v1
+    p = make_pair(0, 9)  # v0v1 and v1v5 share v1
+    three = condition_iii(p, *_evidence(v8, p))
     assert not three.holds
     assert not three.separation.separated
     assert three.witness_cert is None  # no subdivision crosses an adjacent pair
 
 
 def test_condition_iii_k34_clause_evidence(k34):
-    for p in vertex_disjoint_pairs(k34)[:6]:
-        three = condition_iii(k34, p)
+    _certs, reports = check_equivalence(k34)
+    for r in islice(reports, 6):
+        three = r.cond_iii
         assert not three.holds
         assert not three.separation.separated
         assert not (three.planar_minus_e or three.planar_minus_f)
@@ -147,25 +166,34 @@ def test_condition_iii_k34_clause_evidence(k34):
 
 
 def test_equivalence_v8_all_true(v8):
-    rep = check_equivalence(v8, make_pair(0, 4))
+    rep = _sweep_report(v8, make_pair(0, 4))
     assert rep.cond_i and rep.cond_ii.holds and rep.cond_iii.holds and rep.consistent
 
 
 def test_equivalence_v8_chord_pair(v8):
-    rep = check_equivalence(v8, make_pair(0, 10))  # v0v1 with chord v2v6
+    rep = _sweep_report(v8, make_pair(0, 10))  # v0v1 with chord v2v6
     assert rep.consistent and not rep.cond_i
 
 
 def test_equivalence_k6_sample(k6):
-    certs = list(enumerate_kuratowski(k6))
-    for p in vertex_disjoint_pairs(k6)[:12]:
-        rep = check_equivalence(k6, p, certs=certs)
+    _certs, reports = check_equivalence(k6)
+    for rep in islice(reports, 12):
         assert rep.consistent and not rep.cond_i
+
+
+def test_equivalence_sweep_decides_each_deletion_once(k6, lr_tests):
+    # K6 has 15 edges and 45 vertex-disjoint pairs: one test of K6, the
+    # oracle's test of K6 and its gadget per pair, one test of K6 - x per edge
+    certs, reports = check_equivalence(k6)
+    assert len(lr_tests) == 1
+    assert sum(1 for _ in reports) == 45
+    assert len(lr_tests) == 1 + 2 * 45 + 15
+    assert len(certs) == len(list(enumerate_kuratowski(k6)))
 
 
 def test_equivalence_rejects_planar(q3):
     with pytest.raises(PlanarInput):
-        check_equivalence(q3, make_pair(0, 4))
+        check_equivalence(q3)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +220,16 @@ def test_decide_k6(k6, monkeypatch):
     assert decision.kind == AT_LEAST_TWO
     assert decision.failures
     assert all(f.reason in ("separated", "deletion_nonplanar") for f in decision.failures)
-    # each nonplanar deletion behind the verdict got a validated Kuratowski subdivision
+    # one validated Kuratowski subdivision per edge whose deletion stays
+    # nonplanar behind the verdict, however many failing pairs contain it
     deletions = [f for f in decision.failures if f.reason == "deletion_nonplanar"]
     assert deletions
-    assert built.count(k6.m - 1) == len(deletions)
+    failing_edges = {
+        next(x for x in (f.pair.e, f.pair.f) if not run_planarity(delete_edges(k6, [x])).planar)
+        for f in deletions
+    }
+    assert len(failing_edges) < len(deletions)
+    assert built.count(k6.m - 1) == len(failing_edges)
 
 
 def test_decide_planar(q3):
@@ -260,12 +294,12 @@ def test_constructive_agrees_with_oracle_random():
     built = 0
     for _ in range(12):
         g = random_nonplanar_graph(rng, 9)
-        for p in vertex_disjoint_pairs(g):
-            gadget = oracle_crossing_pair(g, p)
-            holds = condition_iii(g, p).holds
-            assert holds == (gadget is not None)
+        _certs, reports = check_equivalence(g)
+        for r in reports:
+            holds = r.cond_iii.holds
+            assert holds == (r.drawing is not None)
             if holds:
-                drawing = build_one_drawing_constructive(g, p)
+                drawing = build_one_drawing_constructive(g, r.pair)
                 drawing.validate(g)
                 built += 1
     assert built >= 5
@@ -318,13 +352,12 @@ def test_fact_two_implies_fact_one():
     for g in families.atlas_connected(6):
         if run_planarity(g).planar:
             continue
-        certs = list(enumerate_kuratowski(g))
-        for p in vertex_disjoint_pairs(g):
-            two = condition_ii(g, p, certs=certs)
-            first_conjunct = two.failing_cert is None
+        _certs, reports = check_equivalence(g)
+        for r in reports:
+            first_conjunct = r.cond_ii.failing_cert is None
             if first_conjunct:
-                assert run_planarity(delete_edges(g, [p.e])).planar
-                assert run_planarity(delete_edges(g, [p.f])).planar
+                assert run_planarity(delete_edges(g, [r.pair.e])).planar
+                assert run_planarity(delete_edges(g, [r.pair.f])).planar
 
 
 def test_disconnected_input_end_to_end(v8):
@@ -346,7 +379,6 @@ def test_disconnected_input_end_to_end(v8):
 def test_equivalence_on_random_multigraphs():
     rng = random.Random(424242)
     from onecross.graph import build
-    from onecross.characterize import check_equivalence
 
     graphs = 0
     while graphs < 15:
@@ -360,21 +392,22 @@ def test_equivalence_on_random_multigraphs():
         if run_planarity(g).planar:
             continue
         graphs += 1
-        certs = list(enumerate_kuratowski(g))
-        for p in vertex_disjoint_pairs(g):
-            check_equivalence(g, p, certs=certs)  # raises on any disagreement
+        _certs, reports = check_equivalence(g)
+        assert all(r.consistent for r in reports)
 
 
 def test_v8_with_doubled_rim_edge(v8):
     # an edge with a parallel twin is in no crossing pair: the subdivision
     # built from the twin omits it, so the universal condition fails
     from onecross.graph import extend
-    from onecross.characterize import check_equivalence
 
     g, (twin,) = extend(v8, [], [v8.endpoints(0)])
-    certs = list(enumerate_kuratowski(g))
-    crossing = [(p.e, p.f) for p in vertex_disjoint_pairs(g)
-                if check_equivalence(g, p, certs=certs).cond_i]
+    _certs, reports = check_equivalence(g)
+    crossing = []
+    for r in reports:
+        assert r.consistent
+        if r.cond_i:
+            crossing.append((r.pair.e, r.pair.f))
     assert crossing == [(1, 4), (1, 5), (1, 6), (2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (4, 7)]
     assert all(0 not in pair and twin not in pair for pair in crossing)
     assert crossing_number_le_1(g).kind == EXACTLY_ONE

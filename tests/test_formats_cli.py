@@ -260,3 +260,40 @@ def test_cli_corpus_parallel_jobs_deterministic(capsys):
 def test_cli_pairs_verify_recheck(v8_file, capsys):
     assert main(["pairs", v8_file, "--verify"]) == 1
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_cli_reports_a_condition_disagreement(tmp_path, monkeypatch, capsys):
+    # an oracle that refuses every pair must surface as exit 70, naming the
+    # first disagreeing pair in `pairs` and counting every one in `corpus`
+    import onecross.characterize as characterize
+
+    monkeypatch.setattr(characterize, "oracle_crossing_pair", lambda g, p: None)
+    path = tmp_path / "k5.g6"
+    path.write_text(write_graph6(families.complete_graph(5)) + "\n")
+    assert main(["pairs", str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "INCONSISTENCY: equivalence conditions disagree on pair (0,5): i=False ii=True iii=True\n"
+    )
+    assert main(["corpus", "--max-n", "5"]) == 70
+    report = json.loads(capsys.readouterr().out)
+    assert report["inconsistencies"] == 15
+    assert report["pairs_checked"] == 15
+    assert report["minimal_failing"] == {"graph6": "D~{", "pair": [0, 7]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--count", "3", "--max-n", "4"],
+        ["--count", "3", "--max-n", "6", "--max-edges", "2"],
+        ["--count", "-2"],
+    ],
+    ids=["max-n-below-5", "max-edges-below-max-n", "negative-count"],
+)
+def test_cli_corpus_rejects_unusable_random_settings(argv, capsys):
+    assert main(["corpus", *argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()

@@ -2,10 +2,8 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 import pytest
 
-import onecross.planarity as planarity
 from onecross import families
 from onecross.bruteforce import all_planar_rotations, exhaustive_planar, rotation_count
 from onecross.errors import NotPlanarEmbedding
@@ -25,23 +23,6 @@ from helpers import cycle_from_vertices, random_planar_graph
 # ---------------------------------------------------------------------------
 # test_planarity
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture()
-def lr_tests(monkeypatch) -> list[int]:
-    """Records each networkx left-right test that onecross.planarity makes."""
-    calls: list[int] = []
-
-    class CountingNetworkx:
-        def check_planarity(self, *args, **kwargs):
-            calls.append(1)
-            return nx.check_planarity(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(nx, name)
-
-    monkeypatch.setattr(planarity, "nx", CountingNetworkx())
-    return calls
 
 
 def test_decision_is_one_left_right_test(k6, lr_tests):
