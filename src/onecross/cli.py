@@ -3,8 +3,9 @@
 Reports are JSON on stdout, deterministic for a fixed input and seed (timing
 is only included when explicitly requested). Exit codes: decide returns 0 for
 planar, 1 for exactly one crossing, 2 for at least two; 64 marks unparseable
-input, 65 a planar input where pairs were requested, 66 a non-crossing pair,
-69 an exhausted search budget and 70 an internal inconsistency.
+input or an unusable option value, 65 a planar input where pairs were
+requested, 66 a non-crossing pair, 69 an exhausted search budget and 70 an
+internal inconsistency.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .families import atlas_connected
 from .formats import FormatError, parse_input, write_graph6
 from .graph import EdgePair, Multigraph, make_pair
 from .layout import to_dot, to_svg
-from .planarity import KuratowskiCert, RotationSystem, test_planarity
+from .planarity import KuratowskiCert, RotationSystem
 from .separation import SeparationVerdict, verify_separation_witness
 
 EXIT_PARSE = 64
@@ -234,10 +235,11 @@ def cmd_draw(args: argparse.Namespace) -> int:
     if e == f:
         sys.stderr.write("the two pair edges coincide\n")
         return EXIT_NOT_CROSSING_PAIR
-    if test_planarity(g).planar:
+    try:
+        drawing = oracle_crossing_pair(g, make_pair(e, f))
+    except PlanarInput:
         sys.stderr.write("planar input: no crossing pairs\n")
         return EXIT_NOT_CROSSING_PAIR
-    drawing = oracle_crossing_pair(g, make_pair(e, f))
     if drawing is None:
         sys.stderr.write(f"({args.pair[0]}) x ({args.pair[1]}) is not a crossing pair\n")
         return EXIT_NOT_CROSSING_PAIR
@@ -317,6 +319,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if args.max_n > 12:
         sys.stderr.write("corpus sweeps are gated to max-n <= 12\n")
         return EXIT_BUDGET
+    if args.jobs < 1:
+        sys.stderr.write("--jobs must be at least 1\n")
+        return EXIT_PARSE
     if args.count < 0:
         sys.stderr.write("--count must be positive, or 0 for the atlas\n")
         return EXIT_PARSE
@@ -334,7 +339,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             return EXIT_BUDGET
         graphs = atlas_connected(args.max_n)
 
-    jobs = max(args.jobs, 1)
+    jobs = min(args.jobs, len(graphs))
     if jobs > 1:
         import multiprocessing as mp
 
@@ -415,6 +420,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if args.budget_steps is not None and args.budget_steps < 0:
+        sys.stderr.write("--budget-steps must not be negative\n")
+        return EXIT_PARSE
     try:
         return args.func(args)
     except (FormatError, OSError) as exc:

@@ -23,7 +23,6 @@ from .graph import (
     Multigraph,
     PathInGraph,
     _assemble,
-    bridge_edge_groups,
     connected_components,
     delete_edges,
     extend,
@@ -206,14 +205,6 @@ def embedding_delete_edges(r: RotationSystem, edge_ids: Iterable[int]) -> Rotati
     doomed = set(edge_ids)
     g2 = delete_edges(r.graph, doomed)
     rotation = {v: tuple(e for e in es if e not in doomed) for v, es in r.rotation.items()}
-    return RotationSystem(g2, rotation)
-
-
-def embedding_delete_vertex(r: RotationSystem, v: int) -> RotationSystem:
-    incident = set(r.graph.edges_at(v))
-    g2 = delete_edges(r.graph, incident)
-    g2 = _assemble(g2.vertices - {v}, dict(g2.edge_items()))
-    rotation = {u: tuple(e for e in es if e not in incident) for u, es in r.rotation.items() if u != v}
     return RotationSystem(g2, rotation)
 
 
@@ -509,159 +500,41 @@ def parse_subdivision(host: Multigraph, edge_ids: Iterable[int]) -> KuratowskiCe
 def embed_with_outer_cycle(g: Multigraph, c: PathInGraph) -> RotationSystem | None:
     """An embedding of g in which cycle c bounds a face, or None if impossible.
 
-    Reduction: an apex joined to every vertex of c forces all bridges with
-    spread-out attachments to the far side of c; bridges confined to a single
-    vertex or c-edge never conflict and are spliced back in afterwards.
+    Reduction: subdivide every edge of c and join an apex to every vertex and
+    midpoint of c. The wheel so formed has one embedding, so g embeds with c
+    bounding a face iff the result is planar. Only parts of g hanging at a
+    single vertex of c can lie between two spokes; they are moved to the far
+    side of c before the apex and the midpoints are dropped.
     """
     require_cycle(g, c)
     order = c.vertices[:-1]
-
     apex = g.max_vertex() + 1
-    g_apex, _ = extend(g, [apex], [(apex, v) for v in order])
-    if not test_planarity(g_apex).planar:
+    mids = [apex + 1 + i for i in range(len(c.edges))]
+    wheel = []
+    for i, m in enumerate(mids):
+        wheel += [(order[i], m), (m, c.vertices[i + 1]), (apex, order[i]), (apex, m)]
+    g_wheel, ids = extend(delete_edges(g, c.edges), [apex, *mids], wheel)
+    res = test_planarity(g_wheel)
+    if not res.planar:
         return None
 
-    groups = bridge_edge_groups(g, c)
-    segments = []
-    closed = list(c.vertices)
-    for i in range(len(order)):
-        segments.append({closed[i], closed[i + 1]})
-    cycle_vs = set(order)
-
-    confined: list[frozenset[int]] = []
-    spread: list[frozenset[int]] = []
-    for grp in groups:
-        att = set()
-        for e in grp:
-            att.update(set(g.endpoints(e)) & cycle_vs)
-        if len(att) <= 1 or any(att <= seg for seg in segments):
-            confined.append(grp)
-        else:
-            spread.append(grp)
-
-    core_edges = set(c.edges)
-    for grp in spread:
-        core_edges |= grp
-    core = restrict(g, core_edges, cycle_vs)
-    core_apex, spokes = extend(core, [apex], [(apex, v) for v in order])
-    res = test_planarity(core_apex)
-    if not res.planar:
-        raise InconsistencyDetected("core with apex must be planar when the full apex graph is")
-    rs = embedding_delete_vertex(res.embedding, apex)
-    if cycle_face_walk(rs, c) is None:
-        raise InconsistencyDetected("apex deletion did not leave the cycle as a face")
-
-    for grp in confined:
-        rs = _insert_confined_group(rs, g, c, grp)
-
-    if cycle_face_walk(rs, c) is None or not rs.is_planar_embedding():
-        raise InconsistencyDetected("confined insertion broke the prescribed face")
-    if set(rs.graph.edge_ids()) != set(g.edge_ids()):
-        raise InconsistencyDetected("embedding does not cover the whole graph")
-    rotation = dict(rs.rotation)
-    for v in g.vertices - set(rotation):
-        rotation[v] = ()
-    return RotationSystem(g, rotation)
-
-
-def _merge_rotations(
-    rs: RotationSystem, g: Multigraph, extra_edges: frozenset[int], patch: dict[int, tuple[int, ...]]
-) -> RotationSystem:
-    endpoints = dict(rs.graph.edge_items())
-    vertices = set(rs.graph.vertices)
-    for e in extra_edges:
-        endpoints[e] = g.endpoints(e)
-        vertices.update(g.endpoints(e))
-    merged = dict(rs.rotation)
-    merged.update(patch)
-    for v in vertices:
-        merged.setdefault(v, ())
-    return RotationSystem(_assemble(frozenset(vertices), endpoints), merged)
-
-
-def _insert_confined_group(
-    rs: RotationSystem, g: Multigraph, c: PathInGraph, grp: frozenset[int]
-) -> RotationSystem:
-    cycle_vs = set(c.vertices)
-    att = sorted({v for e in grp for v in g.endpoints(e) if v in cycle_vs})
-    group_vertices = {v for e in grp for v in g.endpoints(e)}
-
-    if not att:
-        # free component: embed it alone and take the disjoint union
-        comp = restrict(g, grp, group_vertices)
-        sub = test_planarity(comp)
-        if not sub.planar:
-            raise InconsistencyDetected("free component of a planar graph must be planar")
-        return _merge_rotations(rs, g, grp, dict(sub.embedding.rotation))
-
-    c_walk = cycle_face_walk(rs, c)
-    if c_walk is None:
-        raise InconsistencyDetected("prescribed face lost before insertion")
-
-    if len(att) == 1:
-        v = att[0]
-        comp = restrict(g, grp, group_vertices)
-        sub = test_planarity(comp)
-        fan = list(sub.embedding.rotation[v])
-        # splice the fan into a corner of v that is not on the c-face
-        pos = _non_cycle_corner(rs, c_walk, v)
-        rot_v = list(rs.rotation[v])
-        rot_v[pos:pos] = fan
-        patch = {u: es for u, es in sub.embedding.rotation.items() if u != v}
-        patch[v] = tuple(rot_v)
-        out = _merge_rotations(rs, g, grp, patch)
-        if not out.is_planar_embedding() or cycle_face_walk(out, c) is None:
-            raise InconsistencyDetected("single-attachment splice failed")
-        return out
-
-    p, q = att
-    # the cycle edge between p and q, and its dart that is NOT on the c-face
-    idx = next(i for i in range(len(c.edges)) if {c.vertices[i], c.vertices[i + 1]} == {p, q})
-    anchor = c.edges[idx]
-    comp = restrict(g, set(grp) | {anchor}, group_vertices | {p, q})
-    sub = test_planarity(comp)
-    if not sub.planar:
-        raise InconsistencyDetected("confined bridge with anchor must be planar")
-    for mirror in (False, True):
-        emb = sub.embedding.mirrored() if mirror else sub.embedding
-        fan_p = _fan_after(emb.rotation[p], anchor)
-        fan_q = _fan_after(emb.rotation[q], anchor)
-        rot_p = _insert_beside(rs.rotation[p], anchor, fan_p, after=_cycle_leaves_via(c_walk, p, anchor))
-        rot_q = _insert_beside(rs.rotation[q], anchor, fan_q, after=_cycle_leaves_via(c_walk, q, anchor))
-        patch = {u: tuple(es) for u, es in emb.rotation.items() if u not in (p, q)}
-        patch[p] = rot_p
-        patch[q] = rot_q
-        out = _merge_rotations(rs, g, grp, patch)
-        if out.is_planar_embedding() and cycle_face_walk(out, c) is not None:
-            return out
-    raise InconsistencyDetected("two-attachment splice failed in both orientations")
-
-
-def _non_cycle_corner(rs: RotationSystem, c_walk: tuple[Dart, ...], v: int) -> int:
-    """Index in rotation[v] whose corner (predecessor -> this edge) avoids the c-face."""
-    rot = rs.rotation[v]
-    cycle_out = {e for (u, e) in c_walk if u == v}
-    for i, e in enumerate(rot):
-        if e not in cycle_out:
-            return i
-    raise InconsistencyDetected(f"no corner at {v} outside the prescribed face")
-
-
-def _fan_after(rotation: tuple[int, ...], anchor: int) -> list[int]:
-    i = rotation.index(anchor)
-    return [rotation[(i + k) % len(rotation)] for k in range(1, len(rotation))]
-
-
-def _insert_beside(rotation: tuple[int, ...], anchor: int, fan: list[int], after: bool) -> tuple[int, ...]:
-    rot = list(rotation)
-    i = rot.index(anchor)
-    if after:
-        rot[i + 1 : i + 1] = fan
-    else:
-        rot[i:i] = fan
-    return tuple(rot)
-
-
-def _cycle_leaves_via(c_walk: tuple[Dart, ...], v: int, e: int) -> bool:
-    """True when the c-face walk departs v along e (so the c-face corner precedes e)."""
-    return (v, e) in c_walk
+    halves: dict[int, int] = {}  # each half of an edge of c -> that edge
+    spokes = []
+    for i, e in enumerate(c.edges):
+        h1, h2, spoke, _ = ids[4 * i : 4 * i + 4]
+        halves[h1] = halves[h2] = e
+        spokes.append(spoke)
+    rotation = {v: res.embedding.rotation[v] for v in g.vertices}
+    for v, spoke in zip(order, spokes):
+        rot = rotation[v]
+        k = rot.index(spoke)
+        seq = rot[k + 1 :] + rot[:k]  # v's edges, starting just past its spoke
+        first, second = (j for j, e in enumerate(seq) if e in halves)
+        # what lies before the first half of c or after the second hangs in
+        # the spoke's sector: move it to the far side, before the second half
+        seq = seq[first:second] + seq[second + 1 :] + seq[:first] + seq[second : second + 1]
+        rotation[v] = tuple(halves.get(e, e) for e in seq)
+    rs = RotationSystem(g, rotation)
+    if not rs.is_planar_embedding() or cycle_face_walk(rs, c) is None:
+        raise InconsistencyDetected("wheel embedding did not leave the cycle as a face")
+    return rs

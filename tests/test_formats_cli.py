@@ -297,3 +297,64 @@ def test_cli_corpus_rejects_unusable_random_settings(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+
+
+def test_cli_draw_planar_input(tmp_path, capsys):
+    path = tmp_path / "q3.txt"
+    path.write_text(write_edge_list(families.cube_graph()))
+    assert main(["draw", str(path), "--pair", "0,1", "2,3"]) == 66
+    assert capsys.readouterr().err == "planar input: no crossing pairs\n"
+
+
+def test_cli_draw_tests_the_input_once(v8_file, lr_tests, capsys):
+    # one left-right test of the input and one of the gadget graph
+    assert main(["draw", v8_file, "--pair", "v0,v1", "v4,v5"]) == 0
+    assert len(lr_tests) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus", "--jobs", "0"],
+        ["corpus", "--jobs", "-2"],
+        ["corpus", "--budget-steps", "-1"],
+        ["decide", "V8", "--budget-steps", "-1"],
+        ["pairs", "V8", "--budget-steps", "-5"],
+    ],
+    ids=["jobs-zero", "jobs-negative", "corpus-budget-negative", "decide-budget-negative", "pairs-budget-negative"],
+)
+def test_cli_rejects_unusable_worker_and_budget_settings(argv, v8_file, lr_tests, capsys):
+    argv = [v8_file if a == "V8" else a for a in argv]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()
+    assert lr_tests == []
+
+
+def test_cli_corpus_never_asks_for_more_workers_than_graphs(monkeypatch, capsys):
+    import multiprocessing
+
+    sizes: list[int] = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    assert main(["corpus", "--count", "3", "--max-n", "6", "--seed", "2"]) == 0
+    serial = capsys.readouterr().out
+    assert main(["corpus", "--count", "3", "--max-n", "6", "--seed", "2", "--jobs", "64"]) == 0
+    assert capsys.readouterr().out == serial
+    assert sizes == [3]
+    assert main(["corpus", "--count", "1", "--max-n", "6", "--jobs", "64"]) == 0
+    assert sizes == [3]

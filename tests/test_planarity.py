@@ -7,7 +7,7 @@ import pytest
 from onecross import families
 from onecross.bruteforce import all_planar_rotations, exhaustive_planar, rotation_count
 from onecross.errors import NotPlanarEmbedding
-from onecross.graph import build, delete_edges, extend, restrict, simplify
+from onecross.graph import Multigraph, build, delete_edges, extend, restrict, simplify
 from onecross.planarity import (
     cycle_face_walk,
     embed_with_outer_cycle,
@@ -198,6 +198,55 @@ def test_outer_cycle_matches_bruteforce_on_small_graphs():
             assert mine == brute, (g.edge_items(), c.vertices)
             checked += 1
     assert checked > 50
+
+
+def test_outer_cycle_is_one_left_right_test(v8, lr_tests):
+    g = build([(0, 1), (1, 2), (2, 3), (3, 0), (0, 1), (1, 4), (4, 2), (2, 5), (5, 6), (7, 8)])
+    assert embed_with_outer_cycle(g, cycle_from_vertices(g, [0, 1, 2, 3])) is not None
+    assert len(lr_tests) == 1
+    g = delete_edges(v8, [4])
+    assert embed_with_outer_cycle(g, cycle_from_vertices(g, [1, 2, 3, 4, 0, 7, 6, 5])) is None
+    assert len(lr_tests) == 2
+
+
+def _cycle_with_hanging_parts(rng: random.Random) -> tuple[Multigraph, int]:
+    """A k-cycle on 0..k-1 plus chords (maybe parallel), hanging blocks, pendants, bridges, free triangles."""
+    k = rng.randint(2, 5)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    nxt = k
+    for _ in range(rng.randint(2, 5)):
+        v = rng.randrange(k)
+        other = rng.choice([u for u in range(k) if u != v])
+        kind = rng.choice(["chord", "chord", "block", "pendant", "bridge", "bridge", "free"])
+        if kind == "chord":
+            edges.append((v, other))
+        elif kind == "block":
+            edges += [(v, nxt), (nxt, nxt + 1), (nxt + 1, v)]
+        elif kind == "pendant":
+            edges.append((v, nxt))
+        elif kind == "bridge":
+            edges += [(v, nxt), (nxt, other)]
+        else:
+            edges += [(nxt, nxt + 1), (nxt + 1, nxt + 2), (nxt + 2, nxt)]
+        nxt += 3
+    return build(edges), k
+
+
+def test_outer_cycle_matches_bruteforce_on_multigraphs_with_hanging_parts():
+    rng = random.Random(3)
+    verdicts = []
+    for _ in range(300):
+        g, k = _cycle_with_hanging_parts(rng)
+        if rotation_count(g) > 40_000:
+            continue
+        c = cycle_from_vertices(g, list(range(k)))
+        mine = embed_with_outer_cycle(g, c)
+        brute = any(cycle_face_walk(r, c) is not None for r in all_planar_rotations(g))
+        assert (mine is not None) == brute, (g.edge_items(), c.vertices)
+        if mine is not None:
+            assert mine.graph == g and cycle_face_walk(mine, c) is not None
+        verdicts.append(brute)
+    assert verdicts.count(True) > 200 and verdicts.count(False) >= 10
 
 
 # ---------------------------------------------------------------------------
