@@ -12,8 +12,8 @@ Three independently computed conditions must always agree:
 A disagreement can only be an implementation bug: `onecross pairs` aborts
 loudly on it and `onecross corpus` counts it.
 The constructive builder produces a one-crossing drawing by embedding the two
-sides of a detaching cycle with prescribed outer face and cofaciality, gluing
-them back together and routing the crossing through the shared cycle edge.
+sides of a detaching cycle on the planarization, each with the cycle through
+the crossing vertex bounding a face and its own half of e, and gluing them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .graph import (
     extend,
     make_pair,
     restrict,
-    subdivide_edge,
 )
 from .kuratowski import branch_structure, enumerate_kuratowski, is_crossing_pair_in_kuratowski
 from .planarity import (
@@ -42,10 +41,6 @@ from .planarity import (
     RotationSystem,
     cycle_face_walk,
     embed_with_outer_cycle,
-    embedding_add_edge_in_face,
-    embedding_delete_edges,
-    embedding_smooth_vertex,
-    embedding_subdivide_edge,
     test_planarity,
 )
 from .separation import SeparationVerdict, separated_by_cycles
@@ -333,7 +328,7 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
 
 
 # ---------------------------------------------------------------------------
-# The constructive builder (no gadget: embed, split, re-embed, glue, route)
+# The constructive builder (no gadget: embed each side on the planarization, glue)
 # ---------------------------------------------------------------------------
 
 
@@ -341,10 +336,13 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
     """Construct a drawing with {e,f} crossing without consulting the gadget.
 
     Route: find a cycle C of H-e detaching e's ends (f must lie on C), embed
-    g-e, split the bridges by side of C, re-embed each side with C bounding a
-    face and the side's end of e cofacial with f, glue, subdivide f at the
-    crossing vertex and route the halves of e through the two cofacial faces.
-    Condition (iii) is checked first, on the evidence for this one pair.
+    g-e and split the bridges by side of C. On the planarization, where f
+    runs through the crossing vertex w, each side takes its half of e and is
+    embedded with C through w bounding a face; glued along that face, the two
+    sides are the drawing. Condition (iii) is checked first, on the evidence
+    for this one pair. Once its other conjuncts hold it reads the enumerated
+    Kuratowski subdivisions, so on more than 12 vertices such a pair raises
+    EnumerationBudgetExceeded.
     """
     e, f = p.e, p.f
     g_minus_e = delete_edges(g, [e])
@@ -379,55 +377,39 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
     if side_u == side_v:
         raise InconsistencyDetected("overlapping bridges embedded on one side")
 
-    u_edges, v_edges = set(cycle.edges), set(cycle.edges)
-    u_verts, v_verts = set(cycle.vertices), set(cycle.vertices)
+    pz = planarize(g, p)
+    cycle_w = _subdivided_cycle(g, cycle, f, pz.w, pz.f_halves)
+    u_edges, v_edges = {pz.e_halves[0], *cycle_w.edges}, {pz.e_halves[1], *cycle_w.edges}
+    u_verts, v_verts = set(cycle_w.vertices), set(cycle_w.vertices)
     for b in all_bridges:
         side = side_of_bridge(emb, cycle, b)
         target_e, target_v = (v_edges, v_verts) if side == side_v else (u_edges, u_verts)
         target_e |= b.edges
         target_v |= b.nucleus | b.attachments
 
-    side_graph_u = restrict(g_minus_e, u_edges, u_verts)
-    side_graph_v = restrict(g_minus_e, v_edges, v_verts)
-
-    emb_u = _embed_side_cofacial(side_graph_u, cycle, u, f)
-    emb_v = _embed_side_cofacial(side_graph_v, cycle, v, f)
-    glued = _glue_along_cycle(emb_u, emb_v, cycle, g_minus_e)
-
-    pz = planarize(g, p)
-    rs = embedding_subdivide_edge(glued, f, pz.w, pz.f_halves)
-    rs = _route_half(rs, u, pz.w, pz.e_halves[0])
-    rs = _route_half(rs, v, pz.w, pz.e_halves[1])
-
-    drawing = OneDrawing(pz, RotationSystem(pz.graph, rs.rotation))
+    emb_u = _embed_side(restrict(pz.graph, u_edges, u_verts), cycle_w)
+    emb_v = _embed_side(restrict(pz.graph, v_edges, v_verts), cycle_w)
+    drawing = OneDrawing(pz, _glue_along_cycle(emb_u, emb_v, cycle_w, pz.graph))
     drawing.validate(g)
     return drawing
 
 
-def _embed_side_cofacial(side: Multigraph, cycle: PathInGraph, x: int, f: int) -> RotationSystem:
-    """Embed one side with the cycle bounding a face and x cofacial with f.
+def _embed_side(side: Multigraph, cycle: PathInGraph) -> RotationSystem:
+    """Embed one side with the cycle bounding a face.
 
-    The cofaciality constraint is folded into the outer-cycle embedding by
-    subdividing f and anchoring x to the fresh vertex; removing the anchor
-    afterwards leaves x and f on one face.
+    The side's half of e ends at the crossing vertex on the cycle, so it is
+    drawn on the far side of that face, between the two halves of f.
     """
-    g2, m, halves = subdivide_edge(side, f)
-    g3, added = extend(g2, [], [(x, m)])
-    cstar = _subdivided_cycle(side, cycle, f, m, halves)
-    rs = embed_with_outer_cycle(g3, cstar)
+    rs = embed_with_outer_cycle(side, cycle)
     if rs is None:
         raise InconsistencyDetected("side embedding with prescribed face must exist")
-    rs = embedding_delete_edges(rs, added)
-    rs = embedding_smooth_vertex(rs, m, f)
-    if cycle_face_walk(rs, cycle) is None:
-        raise InconsistencyDetected("prescribed cycle face lost during anchor removal")
     return rs
 
 
 def _subdivided_cycle(
-    side: Multigraph, cycle: PathInGraph, f: int, m: int, halves: tuple[int, int]
+    g: Multigraph, cycle: PathInGraph, f: int, m: int, halves: tuple[int, int]
 ) -> PathInGraph:
-    a, b = side.endpoints(f)
+    a, b = g.endpoints(f)
     h1, h2 = halves  # h1 = (a, m), h2 = (m, b)
     verts: list[int] = []
     edges: list[int] = []
@@ -506,12 +488,3 @@ def _linearize_after(rot: tuple[int, ...], first: int, last: int) -> tuple[int, 
         raise InconsistencyDetected("cycle edges are not adjacent in the side rotation")
     return tuple(seq[1:])
 
-
-def _route_half(rs: RotationSystem, end: int, w: int, new_id: int) -> RotationSystem:
-    if not rs.is_planar_embedding():
-        raise InconsistencyDetected("routing requires a planar embedding")
-    for walk in rs.face_walks():
-        verts = {v for v, _ in walk}
-        if end in verts and w in verts:
-            return embedding_add_edge_in_face(rs, walk, end, w, new_id)
-    raise InconsistencyDetected(f"no face exposes both {end} and the crossing vertex")

@@ -3,9 +3,9 @@
 Reports are JSON on stdout, deterministic for a fixed input and seed (timing
 is only included when explicitly requested). Exit codes: decide returns 0 for
 planar, 1 for exactly one crossing, 2 for at least two; 64 marks unparseable
-input or an unusable option value, 65 a planar input where pairs were
-requested, 66 a non-crossing pair, 69 an exhausted search budget and 70 an
-internal inconsistency.
+input, a usage error or an unusable option value, 65 a planar input where
+pairs were requested, 66 a non-crossing pair, 69 an exhausted search budget
+and 70 an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -386,17 +386,17 @@ def _parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="path to a graph file, or '-' for stdin")
         p.add_argument("--format", choices=["auto", "graph6", "edgelist"], default="auto")
-        p.add_argument("--budget-steps", type=int, default=None)
-        p.add_argument("--verify", action="store_true", help="re-check certificates before printing")
-        p.add_argument("--timing", action="store_true", help="include timing (breaks byte-determinism)")
 
-    p_decide = sub.add_parser("decide", help="planar / one crossing / at least two")
-    common(p_decide)
-    p_decide.set_defaults(func=cmd_decide)
-
-    p_pairs = sub.add_parser("pairs", help="all crossing pairs with condition reports")
-    common(p_pairs)
-    p_pairs.set_defaults(func=cmd_pairs)
+    for name, func, summary in (
+        ("decide", cmd_decide, "planar / one crossing / at least two"),
+        ("pairs", cmd_pairs, "all crossing pairs with condition reports"),
+    ):
+        p_report = sub.add_parser(name, help=summary)
+        common(p_report)
+        p_report.add_argument("--budget-steps", type=int, default=None)
+        p_report.add_argument("--verify", action="store_true", help="re-check certificates before printing")
+        p_report.add_argument("--timing", action="store_true", help="include timing (breaks byte-determinism)")
+        p_report.set_defaults(func=func)
 
     p_draw = sub.add_parser("draw", help="DOT/SVG of a one-crossing drawing")
     common(p_draw)
@@ -419,8 +419,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    if args.budget_steps is not None and args.budget_steps < 0:
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_PARSE if exc.code else 0
+    budget = getattr(args, "budget_steps", None)
+    if budget is not None and budget < 0:
         sys.stderr.write("--budget-steps must not be negative\n")
         return EXIT_PARSE
     try:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from itertools import islice
 
 import pytest
 
+import onecross
 import onecross.planarity as planarity
 from onecross import families
 from onecross.characterize import (
@@ -22,7 +25,7 @@ from onecross.characterize import (
     vertex_disjoint_pairs,
 )
 from onecross.errors import PlanarInput, PreconditionViolated
-from onecross.graph import delete_edges, make_pair
+from onecross.graph import Multigraph, delete_edges, extend, make_pair
 from onecross.kuratowski import enumerate_kuratowski
 from onecross.planarity import test_planarity as run_planarity
 from onecross.separation import separated_by_cycles
@@ -289,6 +292,28 @@ def test_constructive_rejects_bad_pair(v8):
         build_one_drawing_constructive(v8, make_pair(8, 10))  # two chords
 
 
+def test_constructive_builder_does_no_embedding_surgery(monkeypatch, v8, siran, k33):
+    # each side is embedded on the planarization itself, so no edge is
+    # subdivided, anchored, smoothed or routed after an embedding exists
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the builder performed embedding surgery")
+
+    for info in pkgutil.iter_modules(onecross.__path__, "onecross."):
+        module = importlib.import_module(info.name)
+        for name in ("embedding_subdivide_edge", "embedding_add_edge_in_face",
+                     "embedding_smooth_vertex", "embedding_delete_edges"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    disconnected, _ = extend(v8, [20, 21, 22], [(20, 21), (21, 22), (22, 20)])
+    cases = [
+        (v8, make_pair(0, 4)),
+        (siran, make_pair(_sedge("u", "y"), _sedge("w", "z"))),
+        (k33, make_pair(0, 4)),
+        (disconnected, make_pair(0, 4)),
+    ]
+    for g, p in cases:
+        build_one_drawing_constructive(g, p).validate(g)
+
+
 def test_constructive_agrees_with_oracle_random():
     rng = random.Random(31)
     built = 0
@@ -394,6 +419,36 @@ def test_equivalence_on_random_multigraphs():
         graphs += 1
         _certs, reports = check_equivalence(g)
         assert all(r.consistent for r in reports)
+
+
+def _decorated_nonplanar_multigraph(rng: random.Random) -> Multigraph:
+    """A random nonplanar graph with a parallel edge, a pendant path and a
+    hanging triangle added, on at most 12 vertices."""
+    g = random_nonplanar_graph(rng, 8)
+    g, _ = extend(g, [], [g.endpoints(rng.choice(g.edge_ids()))])
+    a, b = g.max_vertex() + 1, g.max_vertex() + 2
+    g, _ = extend(g, [a, b], [(rng.randrange(g.n), a), (a, b)])
+    x, y = g.max_vertex() + 1, g.max_vertex() + 2
+    t = rng.randrange(g.n)
+    g, _ = extend(g, [x, y], [(t, x), (x, y), (y, t)])
+    assert g.n <= 12
+    return g
+
+
+def test_constructive_on_random_multigraphs():
+    rng = random.Random(2024)
+    built = refused = 0
+    for _ in range(40):
+        g = _decorated_nonplanar_multigraph(rng)
+        for p in vertex_disjoint_pairs(g):
+            if oracle_crossing_pair(g, p) is None:
+                with pytest.raises(PreconditionViolated):
+                    build_one_drawing_constructive(g, p)
+                refused += 1
+            else:
+                build_one_drawing_constructive(g, p).validate(g)
+                built += 1
+    assert built >= 20 and refused >= 20
 
 
 def test_v8_with_doubled_rim_edge(v8):

@@ -332,6 +332,31 @@ def test_cli_rejects_unusable_worker_and_budget_settings(argv, v8_file, lr_tests
     assert lr_tests == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "V8", "--no-such-flag"],
+        ["decide"],
+        ["pairs", "V8", "--budget-steps", "ten"],
+        ["draw", "V8", "--pair", "v0,v1", "v4,v5", "--timing"],
+    ],
+    ids=["unknown-flag", "missing-input", "non-integer-budget", "draw-timing"],
+)
+def test_cli_usage_errors_exit_64(argv, v8_file, lr_tests, capsys):
+    # argparse's own exit status 2 would read as a verdict of decide or pairs
+    argv = [v8_file if a == "V8" else a for a in argv]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert lr_tests == []
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["draw", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 def test_cli_corpus_never_asks_for_more_workers_than_graphs(monkeypatch, capsys):
     import multiprocessing
 
