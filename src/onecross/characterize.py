@@ -287,44 +287,63 @@ class CrossingDecision:
 def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDecision:
     """Planar / exactly one crossing (with drawing) / at least two (with evidence).
 
-    Sweeps the crossing pairs of one fixed Kuratowski subdivision: any crossing
-    pair of g must be one of them, so exhausting the sweep proves cr >= 2.
+    Any crossing pair of g is a crossing pair of one fixed Kuratowski
+    subdivision, so only those candidates are tried, in id order and generated
+    one at a time:
+
+      * a candidate with an edge whose deletion stays nonplanar fails;
+      * otherwise the gadget oracle decides it, and its first hit is the
+        `one` verdict with the oracle's drawing;
+      * otherwise the oracle's refusal is held back.
+
+    Only when every candidate fails is the evidence for cr >= 2 built, in
+    candidate order: each failing deletion's Kuratowski subdivision, read once
+    per edge, and a separation witness for each refused pair. By the
+    equivalence of (i) and (iii) such a witness exists; a NOT_SEPARATED verdict
+    is an inconsistency. `budget` bounds each of these separation searches.
     """
     res = test_planarity(g)
     if res.planar:
         return CrossingDecision(PLANAR, res.embedding, None, ())
 
-    cert = res.kuratowski
-    bs = branch_structure(cert)
-    ids = sorted(cert.edges)
-    candidates = []
-    for i, e in enumerate(ids):
-        for f in ids[i + 1 :]:
-            if is_crossing_pair_in_kuratowski(bs, e, f):
-                candidates.append(make_pair(e, f))
-
     deletion = _deletion_tests(g)
-    failures = []
-    for pair in candidates:
+    held: list[tuple[EdgePair, PlanarityResult | None]] = []
+    for pair in _candidate_pairs(res.kuratowski):
         minus = deletion(pair.e)
         if minus.planar:
             minus = deletion(pair.f)
         if not minus.planar:
+            held.append((pair, minus))
+            continue
+        drawing = oracle_crossing_pair(g, pair)
+        if drawing is not None:
+            return CrossingDecision(EXACTLY_ONE, None, drawing, ())
+        held.append((pair, None))
+
+    failures = []
+    for pair, minus in held:
+        if minus is not None:
             # evidence for cr >= 2: its certificate is built and validated once per edge
             minus.kuratowski
             failures.append(PairFailure(pair, "deletion_nonplanar", None))
             continue
         sep = separated_by_cycles(g, pair, budget=budget)
-        if sep.separated:
-            failures.append(PairFailure(pair, "separated", sep))
-            continue
-        drawing = oracle_crossing_pair(g, pair)
-        if drawing is None:
+        if not sep.separated:
             raise InconsistencyDetected(
                 f"condition (iii) holds for ({pair.e},{pair.f}) but the oracle refuses it"
             )
-        return CrossingDecision(EXACTLY_ONE, None, drawing, ())
+        failures.append(PairFailure(pair, "separated", sep))
     return CrossingDecision(AT_LEAST_TWO, None, None, tuple(failures))
+
+
+def _candidate_pairs(cert: KuratowskiCert) -> Iterator[EdgePair]:
+    """The crossing pairs of one Kuratowski subdivision, in id order."""
+    bs = branch_structure(cert)
+    ids = sorted(cert.edges)
+    for i, e in enumerate(ids):
+        for f in ids[i + 1 :]:
+            if is_crossing_pair_in_kuratowski(bs, e, f):
+                yield make_pair(e, f)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,35 @@ def is_connected(g: Multigraph) -> bool:
     return len(connected_components(g)) <= 1
 
 
+def degree2_chains(g: Multigraph) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
+    """The maximal paths of g whose interior vertices have degree 2.
+
+    Each chain is (its edge ids, its two end vertices); a component that is a
+    cycle is one chain whose ends coincide. Every edge lies in exactly one
+    chain, and chains come in order of their least edge id.
+    """
+    seen: set[int] = set()
+    chains = []
+    for first in g.edge_ids():
+        if first in seen:
+            continue
+        seen.add(first)
+        edges = [first]
+        ends = []
+        for v in g.endpoints(first):
+            prev = first
+            while g.degree(v) == 2:
+                nxt = next(x for x in g.edges_at(v) if x != prev)
+                if nxt in seen:  # walked all the way round a cycle
+                    break
+                seen.add(nxt)
+                edges.append(nxt)
+                prev, v = nxt, g.other_end(nxt, v)
+            ends.append(v)
+        chains.append((tuple(edges), (ends[0], ends[1])))
+    return chains
+
+
 # ---------------------------------------------------------------------------
 # Paths and cycles
 # ---------------------------------------------------------------------------

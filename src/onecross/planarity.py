@@ -24,6 +24,7 @@ from .graph import (
     PathInGraph,
     _assemble,
     connected_components,
+    degree2_chains,
     delete_edges,
     extend,
     parallel_classes,
@@ -408,10 +409,6 @@ def _to_nx(g: Multigraph) -> nx.Graph:
     return G
 
 
-def _nx_is_planar(g: Multigraph) -> bool:
-    return nx.check_planarity(_to_nx(g), counterexample=False)[0]
-
-
 def test_planarity(g: Multigraph) -> PlanarityResult:
     """Decide planarity of a multigraph by one left-right test.
 
@@ -424,14 +421,23 @@ def test_planarity(g: Multigraph) -> PlanarityResult:
 
 
 def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
-    """Deterministic edge-deletion minimization down to a Kuratowski subdivision."""
-    current = set(gs.edge_ids())
-    for e in sorted(current):
-        trial = current - {e}
-        if not _nx_is_planar(restrict(gs, trial)):
-            current = trial
-    kernel = restrict(gs, current)
-    return parse_subdivision(kernel, current)
+    """Deterministic deletion minimization down to a Kuratowski subdivision.
+
+    A subdivision uses all of a degree-2 chain of gs or none of it, so chains
+    are dropped whole, tried in order of their least edge id: this keeps the
+    edges that dropping single edges in id order would keep. Each trial is one
+    left-right test on the smoothed graph, one edge per chain still kept, with
+    parallel edges merged since they cannot change planarity.
+    """
+    chains = degree2_chains(gs)
+    # a chain that closes on itself is in no subdivision: dropped untested
+    kept = {i for i, (_, (a, b)) in enumerate(chains) if a != b}
+    for i in sorted(kept):
+        trial = nx.Graph([chains[j][1] for j in kept if j != i])
+        if not nx.check_planarity(trial, counterexample=False)[0]:
+            kept.discard(i)
+    edges = {e for i in kept for e in chains[i][0]}
+    return parse_subdivision(gs, edges)
 
 
 def parse_subdivision(host: Multigraph, edge_ids: Iterable[int]) -> KuratowskiCert:

@@ -9,9 +9,9 @@ import networkx as nx
 
 from onecross.characterize import _pair_crosses_cert, oracle_crossing_pair, vertex_disjoint_pairs
 from onecross.errors import InconsistencyDetected, NotACycle, PlanarInput
-from onecross.graph import EdgePair, Multigraph, PathInGraph, build
+from onecross.graph import EdgePair, Multigraph, PathInGraph, build, restrict
 from onecross.kuratowski import enumerate_kuratowski
-from onecross.planarity import KuratowskiCert, test_planarity as run_planarity
+from onecross.planarity import KuratowskiCert, parse_subdivision, test_planarity as run_planarity
 from onecross.separation import SeparationVerdict, separated_by_cycles
 
 
@@ -101,3 +101,72 @@ def potential_crossing_pairs(
                 )
         out.append((pair, sep))
     return out
+
+
+def edge_by_edge_kuratowski(gs: Multigraph) -> KuratowskiCert:
+    """The reference extraction: drop single edges in id order while nonplanar.
+
+    One left-right test per edge of the simple graph gs; the library's chain
+    extraction must keep exactly the same edges.
+    """
+    current = set(gs.edge_ids())
+    for e in sorted(current):
+        trial = current - {e}
+        if not nx.check_planarity(nx.Graph([gs.endpoints(x) for x in trial]), counterexample=False)[0]:
+            current = trial
+    return parse_subdivision(restrict(gs, current), current)
+
+
+def subdivided(g: Multigraph, lengths: Sequence[int]) -> Multigraph:
+    """g with edge i replaced by a path of lengths[i] edges, in edge-id order."""
+    edges: list[tuple[int, int]] = []
+    fresh = g.max_vertex() + 1
+    for (a, b), s in zip((ends for _, ends in g.edge_items()), lengths):
+        prev = a
+        for _ in range(s - 1):
+            edges.append((prev, fresh))
+            prev, fresh = fresh, fresh + 1
+        edges.append((prev, b))
+    return build(edges, vertices=g.vertices)
+
+
+def decorated_subdivision(rng: random.Random, g: Multigraph) -> Multigraph:
+    """A random subdivision of g with chords, pendant paths, hanging cycles and
+    a parallel edge added, its vertex labels and edge order shuffled."""
+    h = subdivided(g, [rng.randint(1, 3) for _ in range(g.m)])
+    edges = [ends for _, ends in h.edge_items()]
+    n = h.max_vertex() + 1
+    for _ in range(rng.randint(0, 3)):  # chords
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    for _ in range(rng.randint(0, 2)):  # pendant paths
+        prev = rng.randrange(n)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    if rng.random() < 0.5:  # a cycle hanging at one vertex
+        t = rng.randrange(n)
+        edges += [(t, n), (n, n + 1), (n + 1, t)]
+        n += 2
+    edges.append(rng.choice(edges))
+    label = list(range(n))
+    rng.shuffle(label)
+    rng.shuffle(edges)
+    return build([(label[u], label[v]) for u, v in edges], vertices=range(n))
+
+
+def grid_with_diagonals(k: int) -> Multigraph:
+    """The k x k grid plus both corner-to-corner diagonals: cr = 1.
+
+    The grid is 3-connected, so both diagonals lie in its outer face, where
+    their ends interleave.
+    """
+    at = lambda r, c: r * k + c  # noqa: E731
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            if c + 1 < k:
+                edges.append((at(r, c), at(r, c + 1)))
+            if r + 1 < k:
+                edges.append((at(r, c), at(r + 1, c)))
+    return build(edges + [(at(0, 0), at(k - 1, k - 1)), (at(0, k - 1), at(k - 1, 0))])

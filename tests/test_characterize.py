@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 
 import onecross
+import onecross.characterize as characterize
 import onecross.planarity as planarity
 from onecross import families
 from onecross.characterize import (
@@ -24,12 +25,14 @@ from onecross.characterize import (
     unplanarize,
     vertex_disjoint_pairs,
 )
-from onecross.errors import PlanarInput, PreconditionViolated
+from onecross.cli import main
+from onecross.errors import InconsistencyDetected, PlanarInput, PreconditionViolated
+from onecross.formats import parse_graph6, write_graph6
 from onecross.graph import Multigraph, delete_edges, extend, make_pair
-from onecross.kuratowski import enumerate_kuratowski
+from onecross.kuratowski import enumerate_kuratowski, is_crossing_pair_in_kuratowski
 from onecross.planarity import test_planarity as run_planarity
-from onecross.separation import separated_by_cycles
-from helpers import potential_crossing_pairs, random_nonplanar_graph
+from onecross.separation import NOT_SEPARATED, separated_by_cycles
+from helpers import grid_with_diagonals, potential_crossing_pairs, random_nonplanar_graph, subdivided
 
 # V8 edge ids: rim i = (v_i, v_{i+1}) for i in 0..7, chord 8+i = (v_i, v_{i+4}).
 # Crossing pairs computed by the gadget oracle on first verified run and
@@ -250,6 +253,75 @@ def test_decide_k5_and_k33(k5, k33):
 
 def test_decide_k34(k34):
     assert crossing_number_le_1(k34).kind == AT_LEAST_TWO
+
+
+@pytest.fixture()
+def separation_calls(monkeypatch) -> list:
+    """Records each separation search that the decision makes."""
+    calls = []
+
+    def counting(g, p, budget=None):
+        calls.append(p)
+        return separated_by_cycles(g, p, budget=budget)
+
+    monkeypatch.setattr(characterize, "separated_by_cycles", counting)
+    return calls
+
+
+@pytest.mark.parametrize("g", [families.moebius_ladder(32), grid_with_diagonals(6)], ids=["V64", "grid6+2"])
+def test_decide_one_searches_no_separation(g, separation_calls):
+    # the oracle decides every candidate whose deletions are planar, so a
+    # `one` verdict never needs the exhaustive proof of non-separation
+    decision = crossing_number_le_1(g)
+    assert decision.kind == EXACTLY_ONE
+    decision.drawing.validate(g)
+    assert separation_calls == []
+
+
+def test_decide_long_subdivision_in_few_tests(lr_tests, monkeypatch):
+    # K5 with each edge a path of 300 edges: the extraction tests one edge
+    # per chain, and of the 1,350,000 candidates only those up to the first
+    # hit are generated
+    probed = []
+
+    def counting(bs, e, f):
+        probed.append(1)
+        return is_crossing_pair_in_kuratowski(bs, e, f)
+
+    monkeypatch.setattr(characterize, "is_crossing_pair_in_kuratowski", counting)
+    g = subdivided(families.complete_graph(5), [300] * 10)
+    decision = crossing_number_le_1(g)
+    assert decision.kind == EXACTLY_ONE
+    decision.drawing.validate(g)
+    assert len(lr_tests) <= 30
+    assert len(probed) <= 10_000
+
+
+# the triangular prism with an apex joined to all six vertices: cr >= 2, and
+# two of the candidates of its first subdivision have planar deletions
+PRISM_APEX = parse_graph6("FtTnw")
+
+
+def test_decide_two_plus_separates_the_refused_pairs(separation_calls):
+    decision = crossing_number_le_1(PRISM_APEX)
+    assert decision.kind == AT_LEAST_TWO
+    separated = [f.pair for f in decision.failures if f.reason == "separated"]
+    assert separated == [make_pair(0, 7), make_pair(5, 7)] == separation_calls
+    assert all(f.separation.separated for f in decision.failures if f.reason == "separated")
+
+
+def test_decide_unseparated_refused_pair_is_an_inconsistency(monkeypatch, tmp_path, capsys):
+    # the oracle refused the pair, so by (i) <=> (iii) a separation witness
+    # must exist; a search that finds none is an implementation bug: exit 70
+    monkeypatch.setattr(characterize, "separated_by_cycles", lambda g, p, budget=None: NOT_SEPARATED)
+    with pytest.raises(InconsistencyDetected):
+        crossing_number_le_1(PRISM_APEX)
+    path = tmp_path / "prism_apex.g6"
+    path.write_text(write_graph6(PRISM_APEX) + "\n")
+    assert main(["decide", str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("INCONSISTENCY: condition (iii) holds for (0,7)")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from onecross.graph import (
     build,
     bridge_edge_groups,
     cycles_through_edge,
+    degree2_chains,
     delete_edges,
     extend,
     make_pair,
@@ -182,6 +183,18 @@ def test_subdivide_edge(v8):
     assert m == 8 and g.degree(m) == 2
     assert set(g.endpoints(halves[0])) == {0, m}
     assert set(g.endpoints(halves[1])) == {m, 1}
+
+
+def test_degree2_chains():
+    # a theta (0 and 3 joined by three paths), a pendant path at 3, a triangle
+    # hanging at 0 and a separate 3-cycle
+    g = build([(0, 1), (1, 3), (0, 2), (3, 2), (0, 3), (3, 4), (4, 5),
+               (0, 6), (6, 7), (7, 0), (8, 9), (9, 10), (10, 8)])
+    chains = [(sorted(es), sorted(ends)) for es, ends in degree2_chains(g)]
+    assert chains == [
+        ([0, 1], [0, 3]), ([2, 3], [0, 3]), ([4], [0, 3]), ([5, 6], [3, 5]),
+        ([7, 8, 9], [0, 0]), ([10, 11, 12], [9, 9]),
+    ]
 
 
 def test_simplify_keeps_lowest_ids():

@@ -17,7 +17,13 @@ from onecross.planarity import (
     embedding_subdivide_edge,
     test_planarity as run_planarity,
 )
-from helpers import cycle_from_vertices, random_planar_graph
+from helpers import (
+    cycle_from_vertices,
+    decorated_subdivision,
+    edge_by_edge_kuratowski,
+    random_planar_graph,
+    subdivided,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -368,3 +374,34 @@ def test_exactly_one_certificate_arm():
         res = run_planarity(g)
         assert (res.embedding is None) != (res.kuratowski is None)
         assert res.planar == (res.embedding is not None)
+
+
+def _chain_extraction_inputs() -> list[Multigraph]:
+    graphs = [g for g in families.atlas_connected(7) if not run_planarity(g).planar]
+    assert len(graphs) == 221
+    bases = [families.complete_graph(5), families.complete_bipartite(3, 3), families.v8(),
+             families.complete_graph(6), families.complete_bipartite(3, 4), families.siran_graph()]
+    graphs += bases
+    rng = random.Random(1901)
+    graphs += [decorated_subdivision(rng, bases[i % len(bases)]) for i in range(204)]
+    return graphs
+
+
+def test_chain_extraction_matches_edge_by_edge():
+    # each degree-2 chain is dropped whole or kept whole, so the certificate
+    # is the one that dropping single edges in id order gives
+    checked = 0
+    for g in _chain_extraction_inputs():
+        res = run_planarity(g)
+        if res.planar:
+            continue
+        assert res.kuratowski == edge_by_edge_kuratowski(simplify(g)[0])
+        checked += 1
+    assert checked >= 221 + 6 + 200
+
+
+def test_chain_extraction_counts_one_test_per_chain(lr_tests):
+    # K5 with every edge a path of 40 edges: one decision plus one test per branch
+    g = subdivided(families.complete_graph(5), [40] * 10)
+    run_planarity(g).kuratowski.validate(g)
+    assert len(lr_tests) == 1 + 10
