@@ -12,6 +12,7 @@ lives in `bruteforce` and never shares this code path.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -358,13 +359,14 @@ class PlanarityResult:
     cached on its first read; the other one is None.
     """
 
-    def __init__(
-        self, planar: bool, g: Multigraph, simple: Multigraph, nx_embedding: nx.PlanarEmbedding | None
-    ) -> None:
+    def __init__(self, planar: bool, g: Multigraph, nx_embedding: nx.PlanarEmbedding | None) -> None:
         self.planar = planar
         self._graph = g
-        self._simple = simple
         self._nx_embedding = nx_embedding
+
+    @cached_property
+    def _simple(self) -> Multigraph:
+        return simplify(self._graph)[0]
 
     @cached_property
     def embedding(self) -> RotationSystem | None:
@@ -402,22 +404,35 @@ class PlanarityResult:
 
 
 def _to_nx(g: Multigraph) -> nx.Graph:
+    """g as a simple nx.Graph, nodes sorted and edges added in id order.
+
+    A parallel class merges into its lowest id, and adjacency order is that of
+    each neighbour's first edge: the same as for `simplify(g)`.
+    """
     G = nx.Graph()
     G.add_nodes_from(sorted(g.vertices))
-    for e, (u, v) in g.edge_items():
-        G.add_edge(u, v, eid=e)
+    G.add_edges_from(ends for _, ends in g.edge_items())
     return G
+
+
+# id(g) -> the live decision for g; a result holds g, so the id is not reused
+_live: weakref.WeakValueDictionary[int, PlanarityResult] = weakref.WeakValueDictionary()
 
 
 def test_planarity(g: Multigraph) -> PlanarityResult:
     """Decide planarity of a multigraph by one left-right test.
 
     Parallel edges are reduced to a single representative for the decision and
-    re-expanded into the embedding when it is read.
+    re-expanded into the embedding when it is read. While some caller still
+    holds the decision for this very object g, it is returned as-is, with no
+    new test; an equal but distinct graph is tested anew.
     """
-    gs, _ = simplify(g)
-    ok, emb = nx.check_planarity(_to_nx(gs), counterexample=False)
-    return PlanarityResult(ok, g, gs, emb)
+    res = _live.get(id(g))
+    if res is not None and res._graph is g:
+        return res
+    ok, emb = nx.check_planarity(_to_nx(g), counterexample=False)
+    res = _live[id(g)] = PlanarityResult(ok, g, emb)
+    return res
 
 
 def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:

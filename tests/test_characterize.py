@@ -189,11 +189,12 @@ def test_equivalence_k6_sample(k6):
 
 def test_equivalence_sweep_decides_each_deletion_once(k6, lr_tests):
     # K6 has 15 edges and 45 vertex-disjoint pairs: one test of K6, the
-    # oracle's test of K6 and its gadget per pair, one test of K6 - x per edge
+    # oracle's gadget per pair, one test of K6 - x per edge; the oracle's own
+    # test of K6 reuses the decision the sweep holds
     certs, reports = check_equivalence(k6)
     assert len(lr_tests) == 1
     assert sum(1 for _ in reports) == 45
-    assert len(lr_tests) == 1 + 2 * 45 + 15
+    assert len(lr_tests) == 1 + 45 + 15
     assert len(certs) == len(list(enumerate_kuratowski(k6)))
 
 
@@ -276,6 +277,20 @@ def test_decide_one_searches_no_separation(g, separation_calls):
     assert decision.kind == EXACTLY_ONE
     decision.drawing.validate(g)
     assert separation_calls == []
+
+
+@pytest.mark.parametrize(
+    "g,kind,tests",
+    [
+        pytest.param(families.v8(), EXACTLY_ONE, 18, id="V8"),
+        pytest.param(families.complete_graph(6), AT_LEAST_TWO, 121, id="K6"),
+    ],
+)
+def test_decide_counts_left_right_tests(g, kind, tests, lr_tests):
+    # V8 took 20 tests when the oracle re-tested g: one fewer per oracle call
+    # (it makes 2); K6 took 121 then too, as its decide calls no oracle
+    assert crossing_number_le_1(g).kind == kind
+    assert len(lr_tests) == tests
 
 
 def test_decide_long_subdivision_in_few_tests(lr_tests, monkeypatch):
