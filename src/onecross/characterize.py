@@ -22,13 +22,14 @@ import functools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from .bridges import Detached, decompose, detaching_cycle_vv, overlap, side_of_bridge
+from .bridges import decompose, overlap, side_of_bridge
 from .errors import InconsistencyDetected, PlanarInput, PreconditionViolated
 from .graph import (
     EdgePair,
     Multigraph,
     PathInGraph,
     _assemble,
+    all_cycles,
     delete_edges,
     extend,
     make_pair,
@@ -358,75 +359,74 @@ def _candidate_pairs(cert: KuratowskiCert) -> Iterator[EdgePair]:
 def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
     """Construct a drawing with {e,f} crossing without consulting the gadget.
 
-    Route: find a cycle C of H-e detaching e's ends (f must lie on C), embed
-    g-e and split the bridges by side of C. On the planarization, where f
-    runs through the crossing vertex w, each side takes its half of e and is
-    embedded with C through w bounding a face; glued along that face, the two
-    sides are the drawing. Condition (iii) is checked first, on the evidence
-    for this one pair. Once its other conjuncts hold it reads the enumerated
-    Kuratowski subdivisions, so on more than 12 vertices such a pair raises
-    EnumerationBudgetExceeded.
+    Route: both deletions must be planar, and the witness is the first
+    enumerated Kuratowski subdivision H that crosses the pair (on more than
+    12 vertices the enumeration raises EnumerationBudgetExceeded). The edges
+    of H that cross e form the one cycle C of H-e detaching e's ends, and f
+    lies on C. Embed g-e and split the bridges by side of C. On the
+    planarization, where f runs through the crossing vertex w, each side
+    takes its half of e and is embedded with C through w bounding a face;
+    glued along that face, the two sides are the drawing.
+
+    No search runs on the way to a drawing. Every step is checked, and only
+    when one fails is the pair searched for a separation witness, which a
+    separated pair has: found, it raises PreconditionViolated; otherwise the
+    step's InconsistencyDetected stands.
     """
     e, f = p.e, p.f
+    u, v = g.endpoints(e)
     g_minus_e = delete_edges(g, [e])
     minus_e = test_planarity(g_minus_e)
-    planar_minus_f = test_planarity(delete_edges(g, [f])).planar
-    sep = separated_by_cycles(g, p)
-    cond = condition_iii(p, enumerate_kuratowski(g), sep, minus_e.planar, planar_minus_f)
-    if not cond.holds:
+    witness = None
+    if minus_e.planar and test_planarity(delete_edges(g, [f])).planar:
+        witness = next((c for c in enumerate_kuratowski(g) if _pair_crosses_cert(c, p)), None)
+    if witness is None:
         raise PreconditionViolated("condition (iii) does not hold for this pair")
-    u, v = g.endpoints(e)
 
-    cert = cond.witness_cert
-    h_minus_e = restrict(g, set(cert.edges) - {e})
-    verdict = detaching_cycle_vv(h_minus_e, u, v)
-    if not isinstance(verdict, Detached):
-        raise InconsistencyDetected("ends of e must be detached in the subdivision minus e")
-    cycle = verdict.cycle
-    if f not in cycle.edge_set() or u in cycle.vertex_set() or v in cycle.vertex_set():
-        raise InconsistencyDetected("detaching cycle must carry f and avoid the ends of e")
+    try:
+        bs = branch_structure(witness)
+        crossing_e = [x for x in witness.edges if is_crossing_pair_in_kuratowski(bs, e, x)]
+        cycle = next(all_cycles(restrict(g, crossing_e)))
+        if f not in cycle.edge_set() or u in cycle.vertex_set() or v in cycle.vertex_set():
+            raise InconsistencyDetected("detaching cycle must carry f and avoid the ends of e")
 
-    emb = minus_e.embedding  # g - e is planar under condition (iii)
-    all_bridges = decompose(g_minus_e, cycle)
-    bridge_u = next(b for b in all_bridges if u in b.nucleus)
-    bridge_v = next(b for b in all_bridges if v in b.nucleus)
-    if bridge_u == bridge_v:
-        raise InconsistencyDetected("ends of e in one bridge would yield separating cycles")
-    if not overlap(bridge_u, bridge_v, cycle).overlapping:
-        raise InconsistencyDetected("the end bridges of e must overlap on the detaching cycle")
+        emb = minus_e.embedding
+        all_bridges = decompose(g_minus_e, cycle)
+        bridge_u = next(b for b in all_bridges if u in b.nucleus)
+        bridge_v = next(b for b in all_bridges if v in b.nucleus)
+        if bridge_u == bridge_v:
+            raise InconsistencyDetected("ends of e in one bridge would yield separating cycles")
+        if not overlap(bridge_u, bridge_v, cycle).overlapping:
+            raise InconsistencyDetected("the end bridges of e must overlap on the detaching cycle")
 
-    side_u = side_of_bridge(emb, cycle, bridge_u)
-    side_v = side_of_bridge(emb, cycle, bridge_v)
-    if side_u == side_v:
-        raise InconsistencyDetected("overlapping bridges embedded on one side")
+        side_u = side_of_bridge(emb, cycle, bridge_u)
+        side_v = side_of_bridge(emb, cycle, bridge_v)
+        if side_u == side_v:
+            raise InconsistencyDetected("overlapping bridges embedded on one side")
 
-    pz = planarize(g, p)
-    cycle_w = _subdivided_cycle(g, cycle, f, pz.w, pz.f_halves)
-    u_edges, v_edges = {pz.e_halves[0], *cycle_w.edges}, {pz.e_halves[1], *cycle_w.edges}
-    u_verts, v_verts = set(cycle_w.vertices), set(cycle_w.vertices)
-    for b in all_bridges:
-        side = side_of_bridge(emb, cycle, b)
-        target_e, target_v = (v_edges, v_verts) if side == side_v else (u_edges, u_verts)
-        target_e |= b.edges
-        target_v |= b.nucleus | b.attachments
+        pz = planarize(g, p)
+        cycle_w = _subdivided_cycle(g, cycle, f, pz.w, pz.f_halves)
+        u_edges, v_edges = {pz.e_halves[0], *cycle_w.edges}, {pz.e_halves[1], *cycle_w.edges}
+        u_verts, v_verts = set(cycle_w.vertices), set(cycle_w.vertices)
+        for b in all_bridges:
+            side = side_of_bridge(emb, cycle, b)
+            target_e, target_v = (v_edges, v_verts) if side == side_v else (u_edges, u_verts)
+            target_e |= b.edges
+            target_v |= b.nucleus | b.attachments
 
-    emb_u = _embed_side(restrict(pz.graph, u_edges, u_verts), cycle_w)
-    emb_v = _embed_side(restrict(pz.graph, v_edges, v_verts), cycle_w)
-    drawing = OneDrawing(pz, _glue_along_cycle(emb_u, emb_v, cycle_w, pz.graph))
-    drawing.validate(g)
+        # each side's half of e ends at w on the cycle, so it is drawn on the
+        # far side of the cycle's face, between the two halves of f
+        emb_u = embed_with_outer_cycle(restrict(pz.graph, u_edges, u_verts), cycle_w)
+        emb_v = embed_with_outer_cycle(restrict(pz.graph, v_edges, v_verts), cycle_w)
+        if emb_u is None or emb_v is None:
+            raise InconsistencyDetected("side embedding with prescribed face must exist")
+        drawing = OneDrawing(pz, _glue_along_cycle(emb_u, emb_v, cycle_w, pz.graph))
+        drawing.validate(g)
+    except InconsistencyDetected as err:
+        if separated_by_cycles(g, p).separated:
+            raise PreconditionViolated("the pair is separated by cycles") from err
+        raise
     return drawing
-
-
-def _embed_side(side: Multigraph, cycle: PathInGraph) -> RotationSystem:
-    """Embed one side with the cycle bounding a face.
-
-    The side's half of e ends at the crossing vertex on the cycle, so it is
-    drawn on the far side of that face, between the two halves of f.
-    """
-    rs = embed_with_outer_cycle(side, cycle)
-    if rs is None:
-        raise InconsistencyDetected("side embedding with prescribed face must exist")
-    return rs
 
 
 def _subdivided_cycle(

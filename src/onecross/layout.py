@@ -8,6 +8,7 @@ low connectivity are tolerated.
 
 from __future__ import annotations
 
+import html
 import math
 
 import numpy as np
@@ -87,15 +88,21 @@ def _layout_component(rs: RotationSystem, comp: frozenset[int]) -> dict[int, Poi
     return out
 
 
+def _label(labels: list[str] | None, v: int) -> str:
+    return labels[v] if labels and v < len(labels) else str(v)
+
+
 def to_dot(drawing: OneDrawing, labels: list[str] | None = None) -> str:
-    """DOT text of the planarized graph with the crossing vertex marked."""
+    """DOT text of the planarized graph with the crossing vertex marked.
+
+    Vertex v is the node `n{v}`, its label quoted, so no label can name
+    another node or the crossing point.
+    """
     pz = drawing.planarization
     p = pz.pair
 
-    def name(v: int) -> str:
-        if v == pz.w:
-            return "crossing"
-        return labels[v] if labels and v < len(labels) else str(v)
+    def node(v: int) -> str:
+        return "crossing" if v == pz.w else f"n{v}"
 
     lines = [
         "graph onedrawing {",
@@ -104,13 +111,11 @@ def to_dot(drawing: OneDrawing, labels: list[str] | None = None) -> str:
     ]
     for v in sorted(pz.graph.vertices):
         if v != pz.w:
-            lines.append(f'  "{name(v)}";')
+            quoted = _label(labels, v).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{v} [label="{quoted}"];')
     for e, (u, v) in pz.graph.edge_items():
         style = ' [style=dashed]' if e in pz.e_halves + pz.f_halves else ""
-        a, b = name(u), name(v)
-        qa = a if a == "crossing" else f'"{a}"'
-        qb = b if b == "crossing" else f'"{b}"'
-        lines.append(f"  {qa} -- {qb}{style};  // edge {e}")
+        lines.append(f"  {node(u)} -- {node(v)}{style};  // edge {e}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -128,9 +133,6 @@ def to_svg(drawing: OneDrawing, labels: list[str] | None = None, size: int = 480
     def pt(v: int) -> tuple[float, float]:
         x, y = pos[v]
         return (pad + (x - min(xs)) * scale, pad + (y - min(ys)) * scale)
-
-    def name(v: int) -> str:
-        return labels[v] if labels and v < len(labels) else str(v)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -157,7 +159,7 @@ def to_svg(drawing: OneDrawing, labels: list[str] | None = None, size: int = 480
             parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#1f4e9c"/>')
             parts.append(
                 f'<text x="{x+6:.1f}" y="{y-6:.1f}" font-size="11" '
-                f'font-family="sans-serif">{name(v)}</text>'
+                f'font-family="sans-serif">{html.escape(_label(labels, v))}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import onecross.cli  # noqa: F401  (imports every layer the tracer wraps)
 from onecross import families
-from onecross.characterize import OneDrawing
-from onecross.graph import _StepBudget
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
@@ -29,8 +27,10 @@ def _bindings() -> dict[tuple[str, str], object]:
         if name == "onecross" or name.startswith("onecross.")
         for attr, value in vars(module).items()
     }
-    out[("_StepBudget", "spend")] = _StepBudget.spend
-    out[("OneDrawing", "validate")] = OneDrawing.validate
+    # read through sys.modules: a re-import of onecross leaves the classes
+    # imported at the top of this file stale, and the tracer patches the fresh ones
+    out[("_StepBudget", "spend")] = sys.modules["onecross.graph"]._StepBudget.spend
+    out[("OneDrawing", "validate")] = sys.modules["onecross.characterize"].OneDrawing.validate
     return out
 
 

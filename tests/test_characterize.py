@@ -8,9 +8,11 @@ from itertools import islice
 import pytest
 
 import onecross
+import onecross.bridges as bridges
 import onecross.characterize as characterize
 import onecross.planarity as planarity
 from onecross import families
+from onecross.bridges import detaching_cycle_vv
 from onecross.characterize import (
     AT_LEAST_TWO,
     EXACTLY_ONE,
@@ -26,7 +28,7 @@ from onecross.characterize import (
     vertex_disjoint_pairs,
 )
 from onecross.cli import main
-from onecross.errors import InconsistencyDetected, PlanarInput, PreconditionViolated
+from onecross.errors import EnumerationBudgetExceeded, InconsistencyDetected, PlanarInput, PreconditionViolated
 from onecross.formats import parse_graph6, write_graph6
 from onecross.graph import Multigraph, delete_edges, extend, make_pair
 from onecross.kuratowski import enumerate_kuratowski, is_crossing_pair_in_kuratowski
@@ -379,6 +381,16 @@ def test_constructive_rejects_bad_pair(v8):
         build_one_drawing_constructive(v8, make_pair(8, 10))  # two chords
 
 
+def _drawable_cases(v8, siran, k33):
+    disconnected, _ = extend(v8, [20, 21, 22], [(20, 21), (21, 22), (22, 20)])
+    return [
+        (v8, make_pair(0, 4)),
+        (siran, make_pair(_sedge("u", "y"), _sedge("w", "z"))),
+        (k33, make_pair(0, 4)),
+        (disconnected, make_pair(0, 4)),
+    ]
+
+
 def test_constructive_builder_does_no_embedding_surgery(monkeypatch, v8, siran, k33):
     # each side is embedded on the planarization itself, so no edge is
     # subdivided, anchored, smoothed or routed after an embedding exists
@@ -390,15 +402,44 @@ def test_constructive_builder_does_no_embedding_surgery(monkeypatch, v8, siran, 
         for name in ("embedding_subdivide_edge", "embedding_add_edge_in_face",
                      "embedding_smooth_vertex", "embedding_delete_edges"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    disconnected, _ = extend(v8, [20, 21, 22], [(20, 21), (21, 22), (22, 20)])
-    cases = [
-        (v8, make_pair(0, 4)),
-        (siran, make_pair(_sedge("u", "y"), _sedge("w", "z"))),
-        (k33, make_pair(0, 4)),
-        (disconnected, make_pair(0, 4)),
-    ]
-    for g, p in cases:
+    for g, p in _drawable_cases(v8, siran, k33):
         build_one_drawing_constructive(g, p).validate(g)
+
+
+def test_constructive_builder_searches_only_after_a_failed_step(monkeypatch, separation_calls, v8, siran, k33):
+    # the detaching cycle is read off the witness, and the separation search
+    # only classifies a step that failed
+    detaching_calls = []
+
+    def counting(g, x, y):
+        detaching_calls.append((x, y))
+        return detaching_cycle_vv(g, x, y)
+
+    monkeypatch.setattr(bridges, "detaching_cycle_vv", counting)
+    monkeypatch.setattr(characterize, "detaching_cycle_vv", counting, raising=False)
+    for g, p in _drawable_cases(v8, siran, k33):
+        build_one_drawing_constructive(g, p).validate(g)
+    assert separation_calls == [] and detaching_calls == []
+
+    separated = make_pair(_sedge("u", "x"), _sedge("w", "z"))
+    with pytest.raises(PreconditionViolated):
+        build_one_drawing_constructive(siran, separated)
+    assert separation_calls == [separated]
+
+    v16 = families.moebius_ladder(8)
+    p = next(p for p in vertex_disjoint_pairs(v16) if oracle_crossing_pair(v16, p) is not None)
+    with pytest.raises(EnumerationBudgetExceeded):
+        build_one_drawing_constructive(v16, p)
+    assert separation_calls == [separated] and detaching_calls == []
+
+
+def test_constructive_failed_step_on_unseparated_pair_is_an_inconsistency(monkeypatch, separation_calls, v8):
+    # V8 (0,4) is a crossing pair, so the search finds no separation and the
+    # failed step's error stands
+    monkeypatch.setattr(characterize, "embed_with_outer_cycle", lambda g, c: None)
+    with pytest.raises(InconsistencyDetected):
+        build_one_drawing_constructive(v8, make_pair(0, 4))
+    assert separation_calls == [make_pair(0, 4)]
 
 
 def test_constructive_agrees_with_oracle_random():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import re
+from xml.dom import minidom
 
 from onecross import families
-from onecross.characterize import oracle_crossing_pair
+from onecross.characterize import oracle_crossing_pair, vertex_disjoint_pairs
 from onecross.graph import make_pair
 from onecross.layout import to_dot, to_svg, tutte_layout
 
@@ -40,3 +42,18 @@ def test_k33_drawing_renders():
     k33 = families.complete_bipartite(3, 3)
     drawing = oracle_crossing_pair(k33, make_pair(0, 4))
     assert to_svg(drawing).startswith("<svg")
+
+
+def test_labels_cannot_merge_nodes_or_break_the_svg():
+    k5 = families.complete_graph(5)
+    labels = ["crossing", 'a"b', "x<y&z", "n0", "back\\slash"]
+    drawing = oracle_crossing_pair(k5, vertex_disjoint_pairs(k5)[0])
+    dot = to_dot(drawing, labels)
+    declared = re.findall(r'^  (n\d+) \[label="((?:[^"\\]|\\.)*)"\];$', dot, re.MULTILINE)
+    assert [re.sub(r"\\(.)", r"\1", label) for _, label in declared] == labels
+    ends = re.findall(r"^  (\w+) -- (\w+)\b", dot, re.MULTILINE)
+    assert len(ends) == drawing.planarization.graph.m
+    assert {v for pair in ends for v in pair} == {node for node, _ in declared} | {"crossing"}
+    svg = minidom.parseString(to_svg(drawing, labels))
+    texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert texts == labels
