@@ -128,11 +128,10 @@ def oracle_crossing_pair(g: Multigraph, p: EdgePair) -> OneDrawing | None:
     """A verified OneDrawing with the pair crossing, or None.
 
     Never consults the equivalence conditions: the answer is the planarity of
-    the planarized graph. Raises PlanarInput on planar g; that test of g costs
-    no left-right test while the caller holds g's own decision.
+    the planarized graph, the only graph tested. Crossing pairs are defined
+    for nonplanar g only, and the caller decides that: on planar g the gadget
+    verdict is returned all the same.
     """
-    if test_planarity(g).planar:
-        raise PlanarInput("crossing pairs are defined for nonplanar graphs")
     if set(g.endpoints(p.e)) & set(g.endpoints(p.f)):
         return None
     pz = planarize(g, p)
@@ -245,15 +244,12 @@ def check_equivalence(
     as `not report.consistent` and is the caller's to raise. `budget` bounds
     each pair's separation search.
     """
-    res = test_planarity(g)
-    if res.planar:
+    if test_planarity(g).planar:
         raise PlanarInput("the equivalence concerns nonplanar graphs")
     certs = list(enumerate_kuratowski(g))
     deletion = _deletion_tests(g)
 
-    def reports(held: PlanarityResult) -> Iterator[ConditionReport]:
-        # g's decision stays live while the reports run, so the oracle's
-        # test of g returns it without a new left-right test
+    def reports() -> Iterator[ConditionReport]:
         for p in vertex_disjoint_pairs(g):
             sep = separated_by_cycles(g, p, budget=budget)
             drawing = oracle_crossing_pair(g, p)
@@ -261,7 +257,7 @@ def check_equivalence(
             three = condition_iii(p, certs, sep, deletion(p.e).planar, deletion(p.f).planar)
             yield ConditionReport(p, drawing is not None, drawing, two, three)
 
-    return certs, reports(res)
+    return certs, reports()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .families import atlas_connected
 from .formats import FormatError, parse_input, write_graph6
 from .graph import EdgePair, Multigraph, make_pair
 from .layout import to_dot, to_svg
-from .planarity import KuratowskiCert, RotationSystem
+from .planarity import KuratowskiCert, RotationSystem, test_planarity
 from .separation import SeparationVerdict, verify_separation_witness
 
 EXIT_PARSE = 64
@@ -129,10 +129,14 @@ def _verify_report(g: Multigraph, drawing: OneDrawing | None,
 
 def _load(args: argparse.Namespace) -> tuple[Multigraph, list[str]]:
     if args.input == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not UTF-8: {exc}") from exc
     return parse_input(text, args.format)
 
 
@@ -235,11 +239,10 @@ def cmd_draw(args: argparse.Namespace) -> int:
     if e == f:
         sys.stderr.write("the two pair edges coincide\n")
         return EXIT_NOT_CROSSING_PAIR
-    try:
-        drawing = oracle_crossing_pair(g, make_pair(e, f))
-    except PlanarInput:
+    if test_planarity(g).planar:
         sys.stderr.write("planar input: no crossing pairs\n")
         return EXIT_NOT_CROSSING_PAIR
+    drawing = oracle_crossing_pair(g, make_pair(e, f))
     if drawing is None:
         sys.stderr.write(f"({args.pair[0]}) x ({args.pair[1]}) is not a crossing pair\n")
         return EXIT_NOT_CROSSING_PAIR

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import html
 import math
+import re
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .graph import connected_components
 from .planarity import RotationSystem
 
 Point = tuple[float, float]
+# what XML 1.0's Char production leaves out; no escape can write it
+_XML_FORBIDDEN = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _outer_face_vertices(rs: RotationSystem, comp: frozenset[int]) -> list[int]:
@@ -156,10 +159,11 @@ def to_svg(drawing: OneDrawing, labels: list[str] | None = None, size: int = 480
                 'stroke="#c02020" stroke-width="2" fill="none"/>'
             )
         else:
+            text = html.escape(_XML_FORBIDDEN.sub("\ufffd", _label(labels, v)))
             parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#1f4e9c"/>')
             parts.append(
                 f'<text x="{x+6:.1f}" y="{y-6:.1f}" font-size="11" '
-                f'font-family="sans-serif">{html.escape(_label(labels, v))}</text>'
+                f'font-family="sans-serif">{text}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

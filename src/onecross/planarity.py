@@ -12,7 +12,6 @@ lives in `bruteforce` and never shares this code path.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -415,24 +414,14 @@ def _to_nx(g: Multigraph) -> nx.Graph:
     return G
 
 
-# id(g) -> the live decision for g; a result holds g, so the id is not reused
-_live: weakref.WeakValueDictionary[int, PlanarityResult] = weakref.WeakValueDictionary()
-
-
 def test_planarity(g: Multigraph) -> PlanarityResult:
     """Decide planarity of a multigraph by one left-right test.
 
     Parallel edges are reduced to a single representative for the decision and
-    re-expanded into the embedding when it is read. While some caller still
-    holds the decision for this very object g, it is returned as-is, with no
-    new test; an equal but distinct graph is tested anew.
+    re-expanded into the embedding when it is read.
     """
-    res = _live.get(id(g))
-    if res is not None and res._graph is g:
-        return res
     ok, emb = nx.check_planarity(_to_nx(g), counterexample=False)
-    res = _live[id(g)] = PlanarityResult(ok, g, emb)
-    return res
+    return PlanarityResult(ok, g, emb)
 
 
 def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:

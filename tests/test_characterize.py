@@ -90,9 +90,14 @@ def test_v8_no_pair_contains_any_chord(v8):
     assert all(e not in chords and f not in chords for e, f in V8_CROSSING_PAIRS)
 
 
-def test_oracle_rejects_planar_input(q3):
-    with pytest.raises(PlanarInput):
-        oracle_crossing_pair(q3, make_pair(0, 4))
+def test_oracle_tests_only_the_gadget(v8, lr_tests):
+    pairs = vertex_disjoint_pairs(v8)
+    for p in pairs:
+        oracle_crossing_pair(v8, p)
+    assert len(lr_tests) == len(pairs)
+    lr_tests.clear()
+    assert oracle_crossing_pair(v8, make_pair(0, 1)) is None
+    assert lr_tests == []
 
 
 def test_oracle_rejects_adjacent_edges(v8):
@@ -191,8 +196,7 @@ def test_equivalence_k6_sample(k6):
 
 def test_equivalence_sweep_decides_each_deletion_once(k6, lr_tests):
     # K6 has 15 edges and 45 vertex-disjoint pairs: one test of K6, the
-    # oracle's gadget per pair, one test of K6 - x per edge; the oracle's own
-    # test of K6 reuses the decision the sweep holds
+    # oracle's gadget per pair, one test of K6 - x per edge
     certs, reports = check_equivalence(k6)
     assert len(lr_tests) == 1
     assert sum(1 for _ in reports) == 45

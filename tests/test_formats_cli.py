@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -162,6 +164,28 @@ def test_cli_parse_error(tmp_path, capsys):
     path.write_text("a b c d\n")
     assert main(["decide", str(path)]) == 64
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["decide"], ["pairs"], ["draw", "--pair", "0,1", "2,3"]],
+                         ids=["decide", "pairs", "draw"])
+def test_cli_refuses_a_file_that_is_not_utf8(command, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff 1\n")
+    assert main([command[0], str(path), *command[1:]]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: input is not UTF-8")
+
+
+def test_cli_refuses_stdin_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    # K5 with one vertex named by the byte 0xff, read as the C locale would
+    names = [b"\xff", b"1", b"2", b"3", b"4"]
+    k5 = b"".join(a + b" " + b + b"\n" for i, a in enumerate(names) for b in names[i + 1 :])
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(k5), "ascii", "surrogateescape"))
+    out = tmp_path / "k5.dot"
+    assert main(["draw", "-", "--pair", "1,2", "3,4", "-o", str(out)]) == 64
+    assert capsys.readouterr().err.startswith("input error: input is not UTF-8")
+    assert not out.exists()
 
 
 def test_cli_pairs_v8(v8_file, capsys):

@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and no library
+module keeps state: what it binds at top level is a constant, a type alias or
+a dunder."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,9 @@ import pytest
 import onecross
 
 LIBRARY = sorted(p for p in Path(onecross.__file__).parent.glob("*.py") if p.name != "__init__.py")
+# UPPER_CASE constants, CapWords type aliases and dunders
+STATELESS = re.compile(r"_?[A-Z][A-Z0-9_]*|_?[A-Z][a-zA-Z0-9]*|__\w+__")
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -31,3 +37,27 @@ def test_library_module_uses_every_import(path):
 
 def test_unused_import_is_reported():
     assert _unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == ["os", "c"]
+
+
+def _module_state(source: str) -> list[str]:
+    """Names bound outside any function or class that are not STATELESS."""
+    stack, bound = [ast.parse(source)], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.append(node.id)
+        stack += [c for c in ast.iter_child_nodes(node) if not isinstance(c, SCOPES)]
+    return sorted(name for name in bound if not STATELESS.fullmatch(name))
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_module_keeps_no_state(path):
+    assert _module_state(path.read_text(encoding="utf-8")) == []
+
+
+def test_module_state_is_reported():
+    source = (
+        "import weakref\nDart = tuple[int, int]\nGATE = 12\n__all__ = []\n"
+        "_live = weakref.WeakValueDictionary()\nif GATE:\n    cache = {}\ndef f():\n    local = 1\n"
+    )
+    assert _module_state(source) == ["_live", "cache"]

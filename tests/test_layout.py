@@ -57,3 +57,11 @@ def test_labels_cannot_merge_nodes_or_break_the_svg():
     svg = minidom.parseString(to_svg(drawing, labels))
     texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
     assert texts == labels
+
+
+def test_svg_replaces_characters_xml_forbids():
+    k5 = families.complete_graph(5)
+    labels = ["a\x01b", "\x00", "esc\x1b", "\ufffe", "ok"]
+    svg = minidom.parseString(to_svg(oracle_crossing_pair(k5, vertex_disjoint_pairs(k5)[0]), labels))
+    texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert texts == ["a\ufffdb", "\ufffd", "esc\ufffd", "\ufffd", "ok"]

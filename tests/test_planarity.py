@@ -6,9 +6,8 @@ import pytest
 
 from onecross import families
 from onecross.bruteforce import all_planar_rotations, exhaustive_planar, rotation_count
-from onecross.characterize import oracle_crossing_pair
-from onecross.errors import NotPlanarEmbedding, PlanarInput
-from onecross.graph import Multigraph, build, delete_edges, extend, make_pair, restrict, simplify
+from onecross.errors import NotPlanarEmbedding
+from onecross.graph import Multigraph, build, delete_edges, extend, restrict, simplify
 from onecross.planarity import (
     cycle_face_walk,
     embed_with_outer_cycle,
@@ -48,13 +47,6 @@ def test_kuratowski_built_on_first_read_then_cached(k6, lr_tests):
     assert len(lr_tests) == extracted
 
 
-def test_held_decision_is_returned_without_a_test(lr_tests):
-    g = families.complete_graph(6)
-    res = run_planarity(g)
-    assert run_planarity(g) is res
-    assert len(lr_tests) == 1
-
-
 def test_dropped_decision_is_tested_again(lr_tests):
     g = families.complete_graph(6)
     assert not run_planarity(g).planar
@@ -68,16 +60,6 @@ def test_equal_graph_gets_its_own_test(lr_tests):
     res = run_planarity(g)
     assert run_planarity(twin) is not res
     assert len(lr_tests) == 2
-
-
-def test_oracle_refuses_held_planar_input_without_a_test(lr_tests):
-    g = families.cube_graph()
-    res = run_planarity(g)
-    assert res.planar
-    lr_tests.clear()
-    with pytest.raises(PlanarInput):
-        oracle_crossing_pair(g, make_pair(0, 4))
-    assert lr_tests == []
 
 
 def test_k4_planar_four_faces(k4):
