@@ -29,7 +29,6 @@ from .graph import (
     Multigraph,
     PathInGraph,
     _assemble,
-    all_cycles,
     delete_edges,
     extend,
     make_pair,
@@ -40,7 +39,6 @@ from .planarity import (
     KuratowskiCert,
     PlanarityResult,
     RotationSystem,
-    cycle_face_walk,
     embed_with_outer_cycle,
     test_planarity,
 )
@@ -382,7 +380,7 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
     try:
         bs = branch_structure(witness)
         crossing_e = [x for x in witness.edges if is_crossing_pair_in_kuratowski(bs, e, x)]
-        cycle = next(all_cycles(restrict(g, crossing_e)))
+        cycle = _walk_cycle(g, crossing_e)
         if f not in cycle.edge_set() or u in cycle.vertex_set() or v in cycle.vertex_set():
             raise InconsistencyDetected("detaching cycle must carry f and avoid the ends of e")
 
@@ -425,6 +423,32 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
     return drawing
 
 
+def _walk_cycle(g: Multigraph, edges: Iterable[int]) -> PathInGraph:
+    """The cycle that `edges` form, walked a -> b -> ... -> a from its least edge (a, b).
+
+    InconsistencyDetected unless every vertex they touch has two of them and
+    the walk uses them all.
+    """
+    ids = set(edges)
+    at: dict[int, list[int]] = {}
+    for x in ids:
+        for end in g.endpoints(x):
+            at.setdefault(end, []).append(x)
+    if not ids or any(len(xs) != 2 for xs in at.values()):
+        raise InconsistencyDetected("the edges crossing e do not form a cycle")
+    first = min(ids)
+    a, v = g.endpoints(first)
+    verts, walked = [a, v], [first]
+    while v != a:
+        x = next(y for y in at[v] if y != walked[-1])
+        v = g.other_end(x, v)
+        verts.append(v)
+        walked.append(x)
+    if len(walked) != len(ids):
+        raise InconsistencyDetected("the edges crossing e form more than one cycle")
+    return PathInGraph(tuple(verts), tuple(walked))
+
+
 def _subdivided_cycle(
     g: Multigraph, cycle: PathInGraph, f: int, m: int, halves: tuple[int, int]
 ) -> PathInGraph:
@@ -446,64 +470,24 @@ def _subdivided_cycle(
     return PathInGraph(tuple(verts), tuple(edges))
 
 
-def _walk_cycle_direction(walk: tuple[tuple[int, int], ...], cycle: PathInGraph) -> int:
-    ring = cycle.vertices[:-1]
-    if len(ring) < 3:
-        raise InconsistencyDetected("gluing expects cycles of length at least three")
-    seq = [v for v, _ in walk]
-    i = seq.index(ring[0])
-    return 1 if seq[(i + 1) % len(seq)] == ring[1] else -1
-
-
 def _glue_along_cycle(
     emb_u: RotationSystem, emb_v: RotationSystem, cycle: PathInGraph, host: Multigraph
 ) -> RotationSystem:
-    """Join two one-sided embeddings along their shared cycle face."""
-    walk_u = cycle_face_walk(emb_u, cycle)
-    walk_v = cycle_face_walk(emb_v, cycle)
-    if walk_u is None or walk_v is None:
-        raise InconsistencyDetected("both sides must present the cycle as a face")
-    if _walk_cycle_direction(walk_u, cycle) == _walk_cycle_direction(walk_v, cycle):
+    """Join two one-sided embeddings along their shared cycle face.
+
+    Both come from `embed_with_outer_cycle`, so at each cycle vertex the
+    rotation runs from one cycle edge to the other and the cycle's face is the
+    corner from the last back to the first. Once v is mirrored, if need be, to
+    start where u ends, v's edges between its two cycle edges fill that
+    corner of u at every cycle vertex.
+    """
+    q0 = cycle.vertices[0]
+    if emb_v.rotation[q0][0] == emb_u.rotation[q0][0]:
         emb_v = emb_v.mirrored()
-        walk_v = cycle_face_walk(emb_v, cycle)
-
-    out_edge_u = {v: e for v, e in walk_u}
-    in_edge_u: dict[int, int] = {}
-    for v, e in walk_u:
-        in_edge_u[emb_u.graph.other_end(e, v)] = e
-
-    rotation: dict[int, tuple[int, ...]] = {}
-    cycle_vs = set(cycle.vertices)
-    for vertex, rot in emb_u.rotation.items():
-        if vertex not in cycle_vs:
-            rotation[vertex] = rot
-    for vertex, rot in emb_v.rotation.items():
-        if vertex not in cycle_vs:
-            rotation[vertex] = rot
-
-    for q in cycle_vs:
-        c_in, c_out = in_edge_u[q], out_edge_u[q]
-        fan_u = _linearize_after(emb_u.rotation[q], c_in, c_out)
-        fan_v = _linearize_after(emb_v.rotation[q], c_out, c_in)
-        rotation[q] = (c_out, *fan_u, c_in, *fan_v)
-
-    for vertex in host.vertices - set(rotation):
-        rotation[vertex] = ()
+    rotation = {q: () for q in host.vertices} | emb_u.rotation | emb_v.rotation
+    for q in cycle.vertices:
+        rotation[q] = emb_u.rotation[q] + emb_v.rotation[q][1:-1]
     glued = RotationSystem(host, rotation)
     if not glued.is_planar_embedding():
         raise InconsistencyDetected("glued embedding fails the Euler check")
     return glued
-
-
-def _linearize_after(rot: tuple[int, ...], first: int, last: int) -> tuple[int, ...]:
-    """The fan strictly between `first` and `last` in the cyclic order.
-
-    The cycle face guarantees `last` immediately follows `first`, so the fan
-    is everything except those two edges, starting just past `last`.
-    """
-    i = rot.index(first)
-    seq = [rot[(i + k) % len(rot)] for k in range(1, len(rot))]
-    if not seq or seq[0] != last:
-        raise InconsistencyDetected("cycle edges are not adjacent in the side rotation")
-    return tuple(seq[1:])
-

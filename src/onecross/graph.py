@@ -196,12 +196,12 @@ def simplify(g: Multigraph) -> tuple[Multigraph, dict[int, int]]:
     return restrict(g, keep, g.vertices), to_rep
 
 
-def parallel_classes(g: Multigraph) -> dict[int, tuple[int, ...]]:
-    """Map each representative (lowest id) to its full sorted parallel class."""
+def parallel_classes(g: Multigraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Map each adjacent pair (u, v) with u < v to its sorted parallel class."""
     classes: dict[tuple[int, int], list[int]] = {}
     for e, (u, v) in g.edge_items():
         classes.setdefault((min(u, v), max(u, v)), []).append(e)
-    return {min(es): tuple(sorted(es)) for es in classes.values()}
+    return {pair: tuple(sorted(es)) for pair, es in classes.items()}
 
 
 def connected_components(g: Multigraph) -> list[frozenset[int]]:

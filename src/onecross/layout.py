@@ -1,94 +1,39 @@
 """Straight-line layouts and renderers for one-crossing drawings.
 
 Coordinates are cosmetic: the rotation system is the certificate. The layout
-pins the largest face of each component on a circle and places the rest at
-the barycenter of their neighbours (Tutte-style); degeneracies for graphs of
-low connectivity are tolerated.
+is networkx's planar straight-line grid drawing of that rotation system, so no
+two vertices share a point and no edge runs through a vertex.
 """
 
 from __future__ import annotations
 
 import html
-import math
 import re
 
-import numpy as np
+import networkx as nx
 
 from .characterize import OneDrawing
-from .graph import connected_components
+from .graph import parallel_classes
 from .planarity import RotationSystem
 
-Point = tuple[float, float]
+Point = tuple[int, int]
 # what XML 1.0's Char production leaves out; no escape can write it
 _XML_FORBIDDEN = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-def _outer_face_vertices(rs: RotationSystem, comp: frozenset[int]) -> list[int]:
-    best: list[int] = []
-    for walk in rs.face_walks():
-        if walk[0][0] not in comp:
-            continue
-        seq = []
-        for v, _ in walk:
-            if v not in seq:
-                seq.append(v)
-        if len(seq) > len(best):
-            best = seq
-    if not best:
-        best = sorted(comp)
-    return best
+def planar_layout(rs: RotationSystem) -> dict[int, Point]:
+    """Integer grid positions of a straight-line drawing of the rotation.
 
-
-def tutte_layout(rs: RotationSystem) -> dict[int, Point]:
-    """Barycentric coordinates per component, components offset horizontally."""
-    positions: dict[int, Point] = {}
-    offset = 0.0
-    for comp in connected_components(rs.graph):
-        comp_pos = _layout_component(rs, comp)
-        for v, (x, y) in comp_pos.items():
-            positions[v] = (x + offset, y)
-        offset += 2.5
-    return positions
-
-
-def _layout_component(rs: RotationSystem, comp: frozenset[int]) -> dict[int, Point]:
-    outer = _outer_face_vertices(rs, comp)
-    k = len(outer)
-    pinned: dict[int, Point] = {}
-    for i, v in enumerate(outer):
-        angle = 2 * math.pi * i / max(k, 1)
-        pinned[v] = (math.cos(angle), math.sin(angle))
-    free = sorted(comp - set(outer))
-    if not free:
-        return pinned
-
-    index = {v: i for i, v in enumerate(free)}
-    a = np.zeros((len(free), len(free)))
-    bx = np.zeros(len(free))
-    by = np.zeros(len(free))
-    for v in free:
-        i = index[v]
-        nbrs = [rs.graph.other_end(e, v) for e in rs.graph.edges_at(v)]
-        if not nbrs:
-            a[i, i] = 1.0
-            continue
-        a[i, i] = float(len(nbrs))
-        for w in nbrs:
-            if w in pinned:
-                bx[i] += pinned[w][0]
-                by[i] += pinned[w][1]
-            else:
-                a[i, index[w]] -= 1.0
-    try:
-        xs = np.linalg.solve(a, bx)
-        ys = np.linalg.solve(a, by)
-    except np.linalg.LinAlgError:
-        xs = np.linspace(-0.5, 0.5, len(free))
-        ys = np.zeros(len(free))
-    out = dict(pinned)
-    for v in free:
-        out[v] = (float(xs[index[v]]), float(ys[index[v]]))
-    return out
+    Parallel edges share one straight line: each parallel class is drawn by
+    its least id, at that edge's place in both rotations.
+    """
+    drawn = {min(ids) for ids in parallel_classes(rs.graph).values()}
+    emb = nx.PlanarEmbedding()
+    emb.add_nodes_from(rs.rotation)
+    emb.set_data(
+        {v: [rs.graph.other_end(e, v) for e in rot if e in drawn] for v, rot in rs.rotation.items()}
+    )
+    return nx.combinatorial_embedding_to_pos(emb)
 
 
 def _label(labels: list[str] | None, v: int) -> str:
@@ -126,7 +71,7 @@ def to_dot(drawing: OneDrawing, labels: list[str] | None = None) -> str:
 def to_svg(drawing: OneDrawing, labels: list[str] | None = None, size: int = 480) -> str:
     """Straight-line SVG of the drawing; the crossing vertex is drawn as an x."""
     pz = drawing.planarization
-    pos = tutte_layout(drawing.rotation)
+    pos = planar_layout(drawing.rotation)
     xs = [x for x, _ in pos.values()]
     ys = [y for _, y in pos.values()]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-6)

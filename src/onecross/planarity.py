@@ -372,21 +372,14 @@ class PlanarityResult:
         """networkx's embedding re-expanded over g's parallel edges, Euler-checked."""
         if not self.planar:
             return None
-        g, gs = self._graph, self._simple
-        by_pair: dict[tuple[int, int], int] = {}
-        for e, (u, v) in gs.edge_items():
-            by_pair[(u, v)] = e
-            by_pair[(v, u)] = e
+        g = self._graph
         data = self._nx_embedding.get_data()
         rotation: dict[int, tuple[int, ...]] = {}
         classes = parallel_classes(g)
         for v in sorted(g.vertices):
             seq: list[int] = []
             for w in data.get(v, []):
-                rep = by_pair[(v, w)]
-                klass = classes[rep]
-                order = klass if v < w else tuple(reversed(klass))
-                seq.extend(order)
+                seq.extend(classes[(v, w)] if v < w else classes[(w, v)][::-1])
             rotation[v] = tuple(seq)
         rs = RotationSystem(g, rotation)
         if not rs.is_planar_embedding():
@@ -515,6 +508,11 @@ def embed_with_outer_cycle(g: Multigraph, c: PathInGraph) -> RotationSystem | No
     bounding a face iff the result is planar. Only parts of g hanging at a
     single vertex of c can lie between two spokes; they are moved to the far
     side of c before the apex and the midpoints are dropped.
+
+    At each vertex of c the returned rotation starts and ends with that
+    vertex's two edges of c, and the face bounded by c is the corner from the
+    last edge to the first (the spoke's corner): the face walk of c leaves
+    each of its vertices by that vertex's first edge.
     """
     require_cycle(g, c)
     order = c.vertices[:-1]

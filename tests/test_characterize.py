@@ -10,7 +10,9 @@ import pytest
 import onecross
 import onecross.bridges as bridges
 import onecross.characterize as characterize
+import onecross.graph as graph
 import onecross.planarity as planarity
+import onecross.separation as separation
 from onecross import families
 from onecross.bridges import detaching_cycle_vv
 from onecross.characterize import (
@@ -30,7 +32,7 @@ from onecross.characterize import (
 from onecross.cli import main
 from onecross.errors import EnumerationBudgetExceeded, InconsistencyDetected, PlanarInput, PreconditionViolated
 from onecross.formats import parse_graph6, write_graph6
-from onecross.graph import Multigraph, delete_edges, extend, make_pair
+from onecross.graph import Multigraph, delete_edges, extend, make_pair, paths_by_length
 from onecross.kuratowski import enumerate_kuratowski, is_crossing_pair_in_kuratowski
 from onecross.planarity import test_planarity as run_planarity
 from onecross.separation import NOT_SEPARATED, separated_by_cycles
@@ -435,6 +437,31 @@ def test_constructive_builder_searches_only_after_a_failed_step(monkeypatch, sep
     with pytest.raises(EnumerationBudgetExceeded):
         build_one_drawing_constructive(v16, p)
     assert separation_calls == [separated] and detaching_calls == []
+
+
+def test_constructive_builder_makes_no_path_search(monkeypatch, v8, siran, k33):
+    # the detaching cycle is walked, not searched
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return paths_by_length(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "paths_by_length", counting)
+    monkeypatch.setattr(separation, "paths_by_length", counting)
+    for g, p in _drawable_cases(v8, siran, k33)[:3]:
+        build_one_drawing_constructive(g, p).validate(g)
+    assert searches == []
+
+
+def test_walk_cycle_refuses_what_is_not_one_cycle():
+    two_triangles = graph.build([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    path = graph.build([(0, 1), (1, 2), (2, 3)])
+    for g in (two_triangles, path):
+        with pytest.raises(InconsistencyDetected):
+            characterize._walk_cycle(g, g.edge_ids())
+    square = graph.build([(0, 1), (2, 3), (1, 2), (3, 0)])
+    assert characterize._walk_cycle(square, square.edge_ids()).vertices == (0, 1, 2, 3, 0)
 
 
 def test_constructive_failed_step_on_unseparated_pair_is_an_inconsistency(monkeypatch, separation_calls, v8):

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import math
 import re
 from xml.dom import minidom
 
 from onecross import families
 from onecross.characterize import oracle_crossing_pair, vertex_disjoint_pairs
-from onecross.graph import make_pair
-from onecross.layout import to_dot, to_svg, tutte_layout
+from onecross.graph import build, make_pair
+from onecross.layout import planar_layout, to_dot, to_svg
 
 
 def _v8_drawing():
@@ -15,11 +14,21 @@ def _v8_drawing():
     return v8, oracle_crossing_pair(v8, make_pair(0, 4))
 
 
-def test_tutte_layout_places_every_vertex():
-    _, drawing = _v8_drawing()
-    pos = tutte_layout(drawing.rotation)
-    assert set(pos) == set(drawing.rotation.graph.vertices)
-    assert all(math.isfinite(x) and math.isfinite(y) for x, y in pos.values())
+def test_planar_layout_draws_no_degenerate_picture():
+    # the second graph is one where a barycentric layout put vertex 6 on vertex 1
+    atlas = build([(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3), (2, 4), (3, 4), (4, 5)])
+    for g in (families.v8(), atlas):
+        rs = oracle_crossing_pair(g, make_pair(0, 4)).rotation
+        pos = planar_layout(rs)
+        assert set(pos) == set(rs.graph.vertices)
+        assert all(isinstance(c, int) for point in pos.values() for c in point)
+        assert len(set(pos.values())) == len(pos)
+        for _, (a, b) in rs.graph.edge_items():
+            (ax, ay), (bx, by) = pos[a], pos[b]
+            for v, (x, y) in pos.items():
+                on_line = (bx - ax) * (y - ay) == (by - ay) * (x - ax)
+                between = min(ax, bx) <= x <= max(ax, bx) and min(ay, by) <= y <= max(ay, by)
+                assert v in (a, b) or not (on_line and between), (a, b, v)
 
 
 def test_dot_mentions_crossing_and_all_edges():

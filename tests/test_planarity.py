@@ -203,6 +203,16 @@ def test_outer_cycle_with_confined_bridges():
     assert emb.graph == g
 
 
+def _assert_face_at_corner(emb, c):
+    """At each vertex of c the rotation starts and ends with its two edges of
+    c, and the walk of c's face leaves the vertex by the first one."""
+    walk = cycle_face_walk(emb, c)
+    for i, q in enumerate(c.vertices[:-1]):
+        rot = emb.rotation[q]
+        assert {rot[0], rot[-1]} == {c.edges[i - 1], c.edges[i]}
+        assert (q, rot[0]) in walk
+
+
 def test_outer_cycle_matches_bruteforce_on_small_graphs():
     rng = random.Random(7)
     graphs = [g for g in families.atlas_connected(5) if g.m >= 3]
@@ -214,9 +224,11 @@ def test_outer_cycle_matches_bruteforce_on_small_graphs():
         from onecross.graph import all_cycles
 
         for c in list(all_cycles(g))[:6]:
-            mine = embed_with_outer_cycle(g, c) is not None
+            mine = embed_with_outer_cycle(g, c)
             brute = any(cycle_face_walk(r, c) is not None for r in all_planar_rotations(g))
-            assert mine == brute, (g.edge_items(), c.vertices)
+            assert (mine is not None) == brute, (g.edge_items(), c.vertices)
+            if mine is not None:
+                _assert_face_at_corner(mine, c)
             checked += 1
     assert checked > 50
 
@@ -266,6 +278,7 @@ def test_outer_cycle_matches_bruteforce_on_multigraphs_with_hanging_parts():
         assert (mine is not None) == brute, (g.edge_items(), c.vertices)
         if mine is not None:
             assert mine.graph == g and cycle_face_walk(mine, c) is not None
+            _assert_face_at_corner(mine, c)
         verdicts.append(brute)
     assert verdicts.count(True) > 200 and verdicts.count(False) >= 10
 
