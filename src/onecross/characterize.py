@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .bridges import decompose, overlap, side_of_bridge
-from .errors import InconsistencyDetected, PlanarInput, PreconditionViolated
+from .errors import EnumerationBudgetExceeded, InconsistencyDetected, PlanarInput, PreconditionViolated
 from .graph import (
     EdgePair,
     Multigraph,
@@ -346,36 +346,38 @@ def _candidate_pairs(cert: KuratowskiCert) -> Iterator[EdgePair]:
 
 
 # ---------------------------------------------------------------------------
-# The constructive builder (no gadget: embed each side on the planarization, glue)
+# The constructive builder (embed each side on the planarization, glue)
 # ---------------------------------------------------------------------------
 
 
 def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
     """Construct a drawing with {e,f} crossing without consulting the gadget.
 
-    Route: both deletions must be planar, and the witness is the first
-    enumerated Kuratowski subdivision H that crosses the pair (on more than
-    12 vertices the enumeration raises EnumerationBudgetExceeded). The edges
-    of H that cross e form the one cycle C of H-e detaching e's ends, and f
-    lies on C. Embed g-e and split the bridges by side of C. On the
-    planarization, where f runs through the crossing vertex w, each side
-    takes its half of e and is embedded with C through w bounding a face;
-    glued along that face, the two sides are the drawing.
+    Route: g-e must be planar, and the witness is g's first Kuratowski
+    subdivision H, enumerated or, above the enumeration's gate, extracted; by
+    (i) => (ii) every subdivision crosses a crossing pair. The edges of H that
+    cross e form the one cycle C of H-e detaching e's ends, and f lies on C.
+    Embed g-e and split the bridges by side of C. On the planarization, where
+    f runs through the crossing vertex w, each side takes its half of e and
+    is embedded with C through w bounding a face; glued along that face, the
+    two sides are the drawing, which also embeds g-f.
 
-    No search runs on the way to a drawing. Every step is checked, and only
-    when one fails is the pair searched for a separation witness, which a
-    separated pair has: found, it raises PreconditionViolated; otherwise the
-    step's InconsistencyDetected stands.
+    No search runs. Every step is checked, and only a failed step consults
+    the gadget: a nonplanar gadget graph raises PreconditionViolated;
+    otherwise the step's InconsistencyDetected stands.
     """
     e, f = p.e, p.f
     u, v = g.endpoints(e)
     g_minus_e = delete_edges(g, [e])
     minus_e = test_planarity(g_minus_e)
     witness = None
-    if minus_e.planar and test_planarity(delete_edges(g, [f])).planar:
-        witness = next((c for c in enumerate_kuratowski(g) if _pair_crosses_cert(c, p)), None)
-    if witness is None:
-        raise PreconditionViolated("condition (iii) does not hold for this pair")
+    if minus_e.planar:
+        try:
+            witness = next(enumerate_kuratowski(g), None)
+        except EnumerationBudgetExceeded:
+            witness = test_planarity(g).kuratowski
+    if witness is None or not _pair_crosses_cert(witness, p):
+        raise PreconditionViolated("g - e is nonplanar or a Kuratowski subdivision does not cross the pair")
 
     try:
         bs = branch_structure(witness)
@@ -417,8 +419,8 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
         drawing = OneDrawing(pz, _glue_along_cycle(emb_u, emb_v, cycle_w, pz.graph))
         drawing.validate(g)
     except InconsistencyDetected as err:
-        if separated_by_cycles(g, p).separated:
-            raise PreconditionViolated("the pair is separated by cycles") from err
+        if oracle_crossing_pair(g, p) is None:
+            raise PreconditionViolated("the gadget graph is nonplanar: not a crossing pair") from err
         raise
     return drawing
 

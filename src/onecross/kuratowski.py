@@ -63,18 +63,15 @@ def enumerate_kuratowski(g: Multigraph) -> Iterator[KuratowskiCert]:
     """All Kuratowski subdivisions of g, distinct as edge sets.
 
     Works by guessing branch vertices and extending internally disjoint path
-    systems; exponential, so gated to small graphs.
+    systems; exponential, so gated to small graphs. No edge set comes twice:
+    it fixes its branch vertices, its branches and, for K3,3, its parts, and
+    each choice of those is made once.
     """
     if g.n > ENUMERATION_VERTEX_GATE:
         raise EnumerationBudgetExceeded(
             f"Kuratowski enumeration is gated to {ENUMERATION_VERTEX_GATE} vertices (got {g.n})"
         )
-    seen: set[frozenset[int]] = set()
-    for cert in _enumerate_all(g):
-        if cert.edges in seen:
-            continue
-        seen.add(cert.edges)
-        yield cert
+    yield from _enumerate_all(g)
 
 
 def _enumerate_all(g: Multigraph) -> Iterator[KuratowskiCert]:

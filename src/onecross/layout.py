@@ -8,6 +8,7 @@ two vertices share a point and no edge runs through a vertex.
 from __future__ import annotations
 
 import html
+import math
 import re
 
 import networkx as nx
@@ -24,10 +25,10 @@ _XML_FORBIDDEN = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ff
 def planar_layout(rs: RotationSystem) -> dict[int, Point]:
     """Integer grid positions of a straight-line drawing of the rotation.
 
-    Parallel edges share one straight line: each parallel class is drawn by
-    its least id, at that edge's place in both rotations.
+    Each parallel class is placed by its least id, at that edge's place in
+    both rotations.
     """
-    drawn = {min(ids) for ids in parallel_classes(rs.graph).values()}
+    drawn = {ids[0] for ids in parallel_classes(rs.graph).values()}
     emb = nx.PlanarEmbedding()
     emb.add_nodes_from(rs.rotation)
     emb.set_data(
@@ -69,31 +70,43 @@ def to_dot(drawing: OneDrawing, labels: list[str] | None = None) -> str:
 
 
 def to_svg(drawing: OneDrawing, labels: list[str] | None = None, size: int = 480) -> str:
-    """Straight-line SVG of the drawing; the crossing vertex is drawn as an x."""
+    """SVG of the drawing; the crossing vertex is drawn as an x.
+
+    The least edge of each parallel class is a straight line; the k-th after
+    it is a quadratic curve bent to alternating sides, further out as k grows.
+    """
     pz = drawing.planarization
     pos = planar_layout(drawing.rotation)
     xs = [x for x, _ in pos.values()]
     ys = [y for _, y in pos.values()]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-6)
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0, 1e-6)
     pad = 30.0
     scale = (size - 2 * pad) / span
 
     def pt(v: int) -> tuple[float, float]:
         x, y = pos[v]
-        return (pad + (x - min(xs)) * scale, pad + (y - min(ys)) * scale)
+        return (pad + (x - x0) * scale, pad + (y - y0) * scale)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
+    rank = {e: k for ids in parallel_classes(pz.graph).values() for k, e in enumerate(ids)}
     for e, (u, v) in pz.graph.edge_items():
         (x1, y1), (x2, y2) = pt(u), pt(v)
         colour = "#c02020" if e in pz.e_halves + pz.f_halves else "#333333"
-        parts.append(
-            f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="{colour}" stroke-width="1.5"/>'
-        )
+        stroke = f'stroke="{colour}" stroke-width="1.5"'
+        k = rank[e]
+        if k == 0:
+            parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" {stroke}/>')
+            continue
+        # sides alternate as seen from the class's lesser end
+        side = (1 if k % 2 else -1) * (1 if u < v else -1)
+        bend = side * 16.0 * ((k + 1) // 2) / math.hypot(x2 - x1, y2 - y1)
+        cx, cy = (x1 + x2) / 2 - (y2 - y1) * bend, (y1 + y2) / 2 + (x2 - x1) * bend
+        parts.append(f'<path d="M {x1:.1f} {y1:.1f} Q {cx:.1f} {cy:.1f} {x2:.1f} {y2:.1f}" {stroke} fill="none"/>')
     for v in sorted(pz.graph.vertices):
         x, y = pt(v)
         if v == pz.w:

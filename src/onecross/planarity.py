@@ -120,21 +120,15 @@ class RotationSystem:
         return self._walk_cache
 
     def euler_defect(self) -> int:
-        """Sum over components of 2 - (V - E + F); zero iff planar embedding."""
-        comps = connected_components(self.graph)
-        walk_comp: dict[int, int] = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                walk_comp[v] = i
-        counts = [0] * len(comps)
-        for walk in self.face_walks():
-            counts[walk_comp[walk[0][0]]] += 1
-        defect = 0
-        for i, comp in enumerate(comps):
-            edges = {e for v in comp for e in self.graph.edges_at(v)}
-            faces = max(counts[i], 1)
-            defect += 2 - (len(comp) - len(edges) + faces)
-        return defect
+        """Sum over components of 2 - (V - E + F); zero iff planar embedding.
+
+        Summed, it is 2C - V + E - (face walks) - (isolated vertices), as an
+        isolated vertex has one face and no walk. No component's term is
+        negative, so the sum is zero exactly when every term is.
+        """
+        g = self.graph
+        isolated = sum(1 for v in g.vertices if not g.edges_at(v))
+        return 2 * len(connected_components(g)) - g.n + g.m - len(self.face_walks()) - isolated
 
     def is_planar_embedding(self) -> bool:
         return self.euler_defect() == 0

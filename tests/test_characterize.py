@@ -30,7 +30,7 @@ from onecross.characterize import (
     vertex_disjoint_pairs,
 )
 from onecross.cli import main
-from onecross.errors import EnumerationBudgetExceeded, InconsistencyDetected, PlanarInput, PreconditionViolated
+from onecross.errors import InconsistencyDetected, PlanarInput, PreconditionViolated
 from onecross.formats import parse_graph6, write_graph6
 from onecross.graph import Multigraph, delete_edges, extend, make_pair, paths_by_length
 from onecross.kuratowski import enumerate_kuratowski, is_crossing_pair_in_kuratowski
@@ -412,9 +412,9 @@ def test_constructive_builder_does_no_embedding_surgery(monkeypatch, v8, siran, 
         build_one_drawing_constructive(g, p).validate(g)
 
 
-def test_constructive_builder_searches_only_after_a_failed_step(monkeypatch, separation_calls, v8, siran, k33):
-    # the detaching cycle is read off the witness, and the separation search
-    # only classifies a step that failed
+def test_constructive_builder_makes_no_separation_search(monkeypatch, separation_calls, v8, siran, k33):
+    # the detaching cycle is read off the witness, and a failed step is
+    # classified by the gadget, not by a search
     detaching_calls = []
 
     def counting(g, x, y):
@@ -430,13 +430,22 @@ def test_constructive_builder_searches_only_after_a_failed_step(monkeypatch, sep
     separated = make_pair(_sedge("u", "x"), _sedge("w", "z"))
     with pytest.raises(PreconditionViolated):
         build_one_drawing_constructive(siran, separated)
-    assert separation_calls == [separated]
+    assert separation_calls == [] and detaching_calls == []
 
-    v16 = families.moebius_ladder(8)
-    p = next(p for p in vertex_disjoint_pairs(v16) if oracle_crossing_pair(v16, p) is not None)
-    with pytest.raises(EnumerationBudgetExceeded):
-        build_one_drawing_constructive(v16, p)
-    assert separation_calls == [separated] and detaching_calls == []
+
+@pytest.mark.parametrize(
+    "g,p",
+    [
+        pytest.param(families.v8(), make_pair(0, 4), id="V8"),
+        pytest.param(families.siran_graph(), make_pair(_sedge("u", "y"), _sedge("w", "z")), id="Siran"),
+        pytest.param(families.complete_bipartite(3, 3), make_pair(0, 4), id="K33"),
+    ],
+)
+def test_constructive_builder_makes_three_left_right_tests(g, p, lr_tests):
+    # g - e and the two sides' embeddings; g - f is not tested, since the
+    # validated drawing embeds it
+    build_one_drawing_constructive(g, p).validate(g)
+    assert len(lr_tests) == 3
 
 
 def test_constructive_builder_makes_no_path_search(monkeypatch, v8, siran, k33):
@@ -465,12 +474,47 @@ def test_walk_cycle_refuses_what_is_not_one_cycle():
 
 
 def test_constructive_failed_step_on_unseparated_pair_is_an_inconsistency(monkeypatch, separation_calls, v8):
-    # V8 (0,4) is a crossing pair, so the search finds no separation and the
+    # V8 (0,4) is a crossing pair, so the gadget graph is planar and the
     # failed step's error stands
     monkeypatch.setattr(characterize, "embed_with_outer_cycle", lambda g, c: None)
     with pytest.raises(InconsistencyDetected):
         build_one_drawing_constructive(v8, make_pair(0, 4))
-    assert separation_calls == [make_pair(0, 4)]
+    assert separation_calls == []
+
+
+@pytest.mark.parametrize("n", [8, 16], ids=["V16", "V32"])
+def test_constructive_builds_above_the_enumeration_gate(n):
+    # above 12 vertices the witness is the subdivision extracted from g's
+    # planarity test; every pair the oracle accepts is built, and on V16
+    # every other pair is refused
+    g = families.moebius_ladder(n)
+    built = 0
+    for p in vertex_disjoint_pairs(g):
+        if oracle_crossing_pair(g, p) is None:
+            if n == 8:
+                with pytest.raises(PreconditionViolated):
+                    build_one_drawing_constructive(g, p)
+            continue
+        build_one_drawing_constructive(g, p).validate(g)
+        built += 1
+    assert built == 3 * n
+
+
+def test_constructive_builds_long_subdivision_pairs():
+    # K5 with each edge a path of 10 edges (95 vertices): its crossing pairs
+    # are the edges of disjoint branches, 15 branch pairs of 10 x 10 edges;
+    # every 100th of them in pair order is built
+    k5 = families.complete_graph(5)
+    g = subdivided(k5, [10] * 10)
+    branch_ends = [set(k5.endpoints(b)) for b in k5.edge_ids()]
+    crossing = [
+        p for p in vertex_disjoint_pairs(g)
+        if not branch_ends[p.e // 10] & branch_ends[p.f // 10]
+    ]
+    assert len(crossing) == 1500
+    for p in crossing[::100]:
+        assert oracle_crossing_pair(g, p) is not None
+        build_one_drawing_constructive(g, p).validate(g)
 
 
 def test_constructive_agrees_with_oracle_random():

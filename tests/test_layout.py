@@ -3,10 +3,12 @@ from __future__ import annotations
 import re
 from xml.dom import minidom
 
+import onecross.layout as layout
 from onecross import families
 from onecross.characterize import oracle_crossing_pair, vertex_disjoint_pairs
 from onecross.graph import build, make_pair
 from onecross.layout import planar_layout, to_dot, to_svg
+from helpers import subdivided
 
 
 def _v8_drawing():
@@ -74,3 +76,36 @@ def test_svg_replaces_characters_xml_forbids():
     svg = minidom.parseString(to_svg(oracle_crossing_pair(k5, vertex_disjoint_pairs(k5)[0]), labels))
     texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
     assert texts == ["a\ufffdb", "\ufffd", "esc\ufffd", "\ufffd", "ok"]
+
+
+def test_svg_takes_the_minima_once(monkeypatch):
+    # the offsets of the picture are computed once, not once per point
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(layout, "min", counting, raising=False)
+    k33 = families.complete_bipartite(3, 3)
+    counts = []
+    for s in (5, 20):
+        g = subdivided(k33, [s] * 9)
+        to_svg(oracle_crossing_pair(g, make_pair(0, 4 * s)))
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1]
+
+
+def test_svg_draws_each_parallel_edge_apart():
+    # K5 with a second 0-1 edge: 13 edges, of which two join 0 and 1
+    g = build([ends for _, ends in families.complete_graph(5).edge_items()] + [(0, 1)])
+    drawing = oracle_crossing_pair(g, make_pair(1, 5))
+    svg = minidom.parseString(to_svg(drawing))
+    lines = [
+        frozenset(((el.getAttribute("x1"), el.getAttribute("y1")), (el.getAttribute("x2"), el.getAttribute("y2"))))
+        for el in svg.getElementsByTagName("line")
+    ]
+    curves = [el.getAttribute("d") for el in svg.getElementsByTagName("path") if " Q " in el.getAttribute("d")]
+    assert len(lines) + len(curves) == drawing.planarization.graph.m == 13
+    assert len(set(lines)) == len(lines) and len(set(curves)) == len(curves) == 1
