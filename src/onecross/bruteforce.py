@@ -36,7 +36,16 @@ def _count_prune_nonplanar(g: Multigraph) -> bool:
     return gs.n >= 3 and gs.m > 3 * gs.n - 6
 
 
-def _iter_rotations(g: Multigraph, budget: int | None) -> Iterator[dict[int, tuple[int, ...]]]:
+def _iter_rotations(
+    g: Multigraph, budget: int | None, mirror_free: bool = False
+) -> Iterator[dict[int, tuple[int, ...]]]:
+    """Rotation systems of g; with `mirror_free`, one of each mirror pair.
+
+    Mirroring reverses every fan, which at a vertex of degree >= 3 swaps the
+    second and the last edge of its fan; planarity does not change. So fixing
+    the first such vertex's fan to those whose second edge is the smaller
+    still meets a planar rotation whenever there is one.
+    """
     verts = sorted(g.vertices)
     fans = []
     for v in verts:
@@ -46,6 +55,9 @@ def _iter_rotations(g: Multigraph, budget: int | None) -> Iterator[dict[int, tup
         else:
             head = edges[0]
             fans.append([(head,) + rest for rest in permutations(edges[1:])])
+    first = next((i for i, choices in enumerate(fans) if len(choices[0]) >= 3), None)
+    if mirror_free and first is not None:
+        fans[first] = [fan for fan in fans[first] if fan[1] < fan[-1]]
     spent = 0
 
     def rec(i: int, acc: dict[int, tuple[int, ...]]) -> Iterator[dict[int, tuple[int, ...]]]:
@@ -116,7 +128,7 @@ def exhaustive_planar(g: Multigraph, budget: int | None = None) -> bool:
     if _count_prune_nonplanar(g):
         return False
     comps = _component_data(g)
-    for rotation in _iter_rotations(g, budget):
+    for rotation in _iter_rotations(g, budget, mirror_free=True):
         if _rotation_is_planar(g, rotation, comps):
             return True
     return False

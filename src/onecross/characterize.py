@@ -296,23 +296,25 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
       * otherwise the oracle's refusal is held back.
 
     Only when every candidate fails is the evidence for cr >= 2 built, in
-    candidate order: each failing deletion's Kuratowski subdivision, read once
-    per edge, and a separation witness for each refused pair. By the
-    equivalence of (i) and (iii) such a witness exists; a NOT_SEPARATED verdict
-    is an inconsistency. `budget` bounds each of these separation searches.
+    candidate order. A deletion g - x that stays nonplanar is covered by a
+    validated Kuratowski subdivision that avoids x, since that is a subgraph
+    of g - x: one built for an earlier edge if any avoids x, else g - x's own,
+    so one subdivision covers many deletions. A refused pair gets a separation
+    witness. By the equivalence of (i) and (iii) such a witness exists; a
+    NOT_SEPARATED verdict is an inconsistency. `budget` bounds each of these
+    separation searches.
     """
     res = test_planarity(g)
     if res.planar:
         return CrossingDecision(PLANAR, res.embedding, None, ())
 
     deletion = _deletion_tests(g)
-    held: list[tuple[EdgePair, PlanarityResult | None]] = []
+    # each failed pair, with its edge x if g - x stays nonplanar
+    held: list[tuple[EdgePair, int | None]] = []
     for pair in _candidate_pairs(res.kuratowski):
-        minus = deletion(pair.e)
-        if minus.planar:
-            minus = deletion(pair.f)
-        if not minus.planar:
-            held.append((pair, minus))
+        x = next((y for y in (pair.e, pair.f) if not deletion(y).planar), None)
+        if x is not None:
+            held.append((pair, x))
             continue
         drawing = oracle_crossing_pair(g, pair)
         if drawing is not None:
@@ -320,10 +322,11 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
         held.append((pair, None))
 
     failures = []
-    for pair, minus in held:
-        if minus is not None:
-            # evidence for cr >= 2: its certificate is built and validated once per edge
-            minus.kuratowski
+    covers: list[KuratowskiCert] = []
+    for pair, x in held:
+        if x is not None:
+            if all(x in cover.edges for cover in covers):
+                covers.append(deletion(x).kuratowski)
             failures.append(PairFailure(pair, "deletion_nonplanar", None))
             continue
         sep = separated_by_cycles(g, pair, budget=budget)

@@ -263,7 +263,17 @@ def cmd_draw(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_graph(g: Multigraph, budget: int | None) -> tuple[int, int, int, dict[str, Any] | None] | None:
+SweepTotals = tuple[int, int, int, dict[str, Any] | None]
+
+
+def _sweep_graph(g: Multigraph, budget: int | None) -> tuple[SweepTotals | None, float]:
+    """`_sweep_totals` of one graph and its seconds, timed where the sweep runs."""
+    t0 = time.perf_counter()
+    totals = _sweep_totals(g, budget)
+    return totals, time.perf_counter() - t0
+
+
+def _sweep_totals(g: Multigraph, budget: int | None) -> SweepTotals | None:
     """Pair totals of one graph, or None when the budget ran out on it."""
     try:
         _certs, reports = check_equivalence(g, budget=budget)
@@ -347,10 +357,11 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         import multiprocessing as mp
 
         with mp.Pool(jobs) as pool:
-            results = pool.starmap(_sweep_graph, [(g, args.budget_steps) for g in graphs])
+            timed = pool.starmap(_sweep_graph, [(g, args.budget_steps) for g in graphs])
     else:
-        results = [_sweep_graph(g, args.budget_steps) for g in graphs]
+        timed = [_sweep_graph(g, args.budget_steps) for g in graphs]
 
+    results = [result for result, _seconds in timed]
     skipped = [_try_graph6(g) for g, result in zip(graphs, results) if result is None]
     swept = [result for result in results if result is not None]
     pairs, crossing, bad = (sum(result[i] for result in swept) for i in range(3))
@@ -369,6 +380,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         body["skipped"] = skipped
     if failing:
         body["minimal_failing"] = failing
+    if args.timing and graphs:
+        slowest = max(range(len(graphs)), key=lambda i: timed[i][1])
+        body["slowest"] = {"graph6": _try_graph6(graphs[slowest]), "seconds": round(timed[slowest][1], 3)}
     sys.stdout.write(_report("corpus", None, body, (time.perf_counter() - t0) if args.timing else None))
     if skipped:
         return EXIT_BUDGET

@@ -12,6 +12,7 @@ lives in `bruteforce` and never shares this code path.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -419,14 +420,29 @@ def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
     edges that dropping single edges in id order would keep. Each trial is one
     left-right test on the smoothed graph, one edge per chain still kept, with
     parallel edges merged since they cannot change planarity.
+
+    The kept chains always hold a subdivision K. Once they are connected and
+    every chain end has degree 2 in them but for five 4s or six 3s, K's branch
+    vertices are those and use every edge there, so K is all the kept chains.
+    A subdivision is minimally nonplanar: every later trial would keep its
+    chain, so the greedy stops untested.
     """
     chains = degree2_chains(gs)
     # a chain that closes on itself is in no subdivision: dropped untested
     kept = {i for i, (_, (a, b)) in enumerate(chains) if a != b}
+    degree = Counter(v for i in kept for v in chains[i][1])
+    tally = Counter(min(d, 5) for d in degree.values())  # 5 stands for any more
     for i in sorted(kept):
+        if tally[1] == tally[5] == 0 and (tally[3], tally[4]) in ((6, 0), (0, 5)):
+            if nx.is_connected(nx.Graph([chains[j][1] for j in kept])):
+                break
         trial = nx.Graph([chains[j][1] for j in kept if j != i])
         if not nx.check_planarity(trial, counterexample=False)[0]:
             kept.discard(i)
+            for v in chains[i][1]:
+                tally[min(degree[v], 5)] -= 1
+                degree[v] -= 1
+                tally[min(degree[v], 5)] += 1
     edges = {e for i in kept for e in chains[i][0]}
     return parse_subdivision(gs, edges)
 

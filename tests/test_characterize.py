@@ -222,29 +222,58 @@ def test_decide_v8(v8):
     decision.drawing.validate(v8)
 
 
-def test_decide_k6(k6, monkeypatch):
+@pytest.fixture()
+def extractions(monkeypatch) -> list:
+    """Records each Kuratowski extraction: the simple graph and its subdivision."""
     built = []
     extract = planarity._extract_kuratowski
 
     def recording(gs):
-        built.append(gs.m)
-        return extract(gs)
+        cert = extract(gs)
+        built.append((gs, cert))
+        return cert
 
     monkeypatch.setattr(planarity, "_extract_kuratowski", recording)
+    return built
+
+
+def test_decide_k6(k6, extractions):
     decision = crossing_number_le_1(k6)
     assert decision.kind == AT_LEAST_TWO
     assert decision.failures
     assert all(f.reason in ("separated", "deletion_nonplanar") for f in decision.failures)
-    # one validated Kuratowski subdivision per edge whose deletion stays
-    # nonplanar behind the verdict, however many failing pairs contain it
     deletions = [f for f in decision.failures if f.reason == "deletion_nonplanar"]
     assert deletions
     failing_edges = {
         next(x for x in (f.pair.e, f.pair.f) if not run_planarity(delete_edges(k6, [x])).planar)
         for f in deletions
     }
-    assert len(failing_edges) < len(deletions)
-    assert built.count(k6.m - 1) == len(failing_edges)
+    # besides k6's own, each extraction is of some k6 - y and valid there
+    covers = []
+    for gs, cert in extractions[1:]:
+        missing = set(k6.edge_ids()) - set(gs.edge_ids())
+        assert len(missing) == 1
+        cert.validate(delete_edges(k6, missing))
+        covers.append(cert)
+    # a subdivision of k6 - y that avoids x is one of k6 - x: one covers many
+    assert all(any(x not in cert.edges for cert in covers) for x in failing_edges)
+    assert len(covers) < len(failing_edges)
+
+
+@pytest.mark.parametrize(
+    "g,count",
+    [
+        pytest.param(families.complete_graph(6), 5, id="K6"),
+        pytest.param(families.complete_graph(7), 5, id="K7"),
+        pytest.param(families.complete_bipartite(3, 4), 4, id="K3,4"),
+        pytest.param(families.complete_bipartite(4, 4), 4, id="K4,4"),
+    ],
+)
+def test_decide_two_plus_extractions_cover_the_failing_deletions(g, count, extractions):
+    # g's own subdivision, then one per failing deletion that no earlier
+    # one avoids: with one per failing edge this was 8, 8, 7 and 7
+    assert crossing_number_le_1(g).kind == AT_LEAST_TWO
+    assert len(extractions) == count
 
 
 def test_decide_planar(q3):
@@ -290,13 +319,13 @@ def test_decide_one_searches_no_separation(g, separation_calls):
 @pytest.mark.parametrize(
     "g,kind,tests",
     [
-        pytest.param(families.v8(), EXACTLY_ONE, 18, id="V8"),
-        pytest.param(families.complete_graph(6), AT_LEAST_TWO, 121, id="K6"),
+        pytest.param(families.v8(), EXACTLY_ONE, 15, id="V8"),
+        pytest.param(families.complete_graph(6), AT_LEAST_TWO, 66, id="K6"),
     ],
 )
 def test_decide_counts_left_right_tests(g, kind, tests, lr_tests):
-    # V8 took 20 tests when the oracle re-tested g: one fewer per oracle call
-    # (it makes 2); K6 took 121 then too, as its decide calls no oracle
+    # the extractions stop once their kept chains are one subdivision, and
+    # K6's failing deletions share their subdivisions: 18 and 121 before
     assert crossing_number_le_1(g).kind == kind
     assert len(lr_tests) == tests
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -279,6 +280,30 @@ def test_cli_corpus_parallel_jobs_deterministic(capsys):
     parallel = capsys.readouterr().out
     assert main(["corpus", "--max-n", "5"]) == 0
     assert capsys.readouterr().out == parallel
+
+
+def test_cli_corpus_timing_names_the_slowest_graph(monkeypatch, capsys):
+    import onecross.cli as cli
+
+    equivalence = cli.check_equivalence
+
+    def slow_on_k5(g, budget=None):
+        if write_graph6(g) == "D~{":
+            time.sleep(0.2)
+        return equivalence(g, budget=budget)
+
+    monkeypatch.setattr(cli, "check_equivalence", slow_on_k5)
+    assert main(["corpus", "--max-n", "5", "--timing"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["slowest"]["graph6"] == "D~{"
+    assert 0.2 <= report["slowest"]["seconds"] <= report["timing_seconds"]
+    # timed inside each worker, so --jobs reports it too
+    monkeypatch.undo()
+    atlas = {write_graph6(g) for g in families.atlas_connected(5)}
+    assert main(["corpus", "--max-n", "5", "--timing", "--jobs", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["slowest"]["graph6"] in atlas
+    assert main(["corpus", "--max-n", "5"]) == 0
+    assert "slowest" not in json.loads(capsys.readouterr().out)
 
 
 def test_cli_pairs_verify_recheck(v8_file, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from onecross import families
+from onecross import bruteforce, families
 from onecross.bruteforce import all_planar_rotations, exhaustive_planar, rotation_count
 from onecross.errors import NotPlanarEmbedding
 from onecross.graph import Multigraph, build, delete_edges, extend, restrict, simplify
@@ -310,6 +310,20 @@ def test_decision_matches_bruteforce_on_seven_vertex_samples():
     assert checked >= 40
 
 
+@pytest.mark.parametrize(
+    "g", [families.complete_graph(4), families.cube_graph(), families.complete_bipartite(3, 3)],
+    ids=["K4", "Q3", "K3,3"],
+)
+def test_bruteforce_planarity_search_skips_mirror_images(g):
+    # mirroring keeps planarity and exhaustive_planar visits one system of
+    # each mirror pair: half of all systems, and half of the planar ones
+    comps = bruteforce._component_data(g)
+    half = list(bruteforce._iter_rotations(g, None, mirror_free=True))
+    assert 2 * len(half) == rotation_count(g)
+    planar_half = sum(bruteforce._rotation_is_planar(g, r, comps) for r in half)
+    assert 2 * planar_half == sum(1 for _ in all_planar_rotations(g))
+
+
 def test_decision_equals_simplification_decision():
     rng = random.Random(5)
     for g in [families.v8(), families.complete_graph(5), families.cube_graph()]:
@@ -429,7 +443,28 @@ def test_chain_extraction_matches_edge_by_edge():
 
 
 def test_chain_extraction_counts_one_test_per_chain(lr_tests):
-    # K5 with every edge a path of 40 edges: one decision plus one test per branch
+    # K5 with every edge a path of 40 edges is already one subdivision: the
+    # decision and no trial (one trial per branch before the early stop)
     g = subdivided(families.complete_graph(5), [40] * 10)
     run_planarity(g).kuratowski.validate(g)
-    assert len(lr_tests) == 1 + 10
+    assert len(lr_tests) == 1
+    # a chord between the middles of the branches 0-1 and 0-2 splits each in
+    # two: 13 chains, one test each until the kept ones are one subdivision,
+    # which spares the last (14 tests without the early stop)
+    u, v = 5 + 19, 5 + 39 + 19
+    chorded = build([ends for _, ends in g.edge_items()] + [(u, v)], vertices=g.vertices)
+    lr_tests.clear()
+    run_planarity(chorded).kuratowski.validate(chorded)
+    assert len(lr_tests) == 13
+
+
+@pytest.mark.parametrize(
+    "other", [families.complete_graph(5), families.complete_bipartite(3, 3)], ids=["K5", "K3,3"]
+)
+def test_chain_extraction_stops_only_when_connected(other):
+    # K4 beside a Kuratowski graph, K4's edges first: once K4 is worn down to
+    # a triangle the degrees look like one subdivision, but the chains are
+    # not connected, so the greedy must go on and drop the triangle
+    k4 = [ends for _, ends in families.complete_graph(4).edge_items()]
+    g = build(k4 + [(a + 4, b + 4) for _, (a, b) in other.edge_items()])
+    assert run_planarity(g).kuratowski == edge_by_edge_kuratowski(simplify(g)[0])
