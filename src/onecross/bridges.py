@@ -16,7 +16,6 @@ from .graph import (
     Multigraph,
     PathInGraph,
     all_cycles,
-    bridge_edge_groups,
     extend,
     subdivide_edge,
 )
@@ -68,22 +67,35 @@ DetachingVerdict = Cofacial | Detached
 
 
 def decompose(g: Multigraph, h: PathInGraph) -> list[Bridge]:
-    """All H-bridges of g in deterministic order (smallest edge id first)."""
+    """All H-bridges of g in deterministic order (smallest edge id first).
+
+    One pass finds each component of g - V(H), an isolated vertex included,
+    with its edges and attachments; an edge off H with both ends on H is a chord.
+    """
     h_vertices = h.vertex_set()
     bridges = []
-    for grp in bridge_edge_groups(g, h):
-        verts = {v for e in grp for v in g.endpoints(e)}
-        att = frozenset(verts & h_vertices)
-        nucleus = frozenset(verts - h_vertices)
-        is_chord = not nucleus
-        if is_chord and len(grp) != 1:
-            raise InconsistencyDetected("chord bridge with several edges")
-        bridges.append(Bridge(att, nucleus, grp, is_chord))
-    # isolated vertices of g off H are degenerate component bridges
-    covered = h_vertices | {v for b in bridges for v in b.nucleus}
-    for v in sorted(g.vertices - covered):
-        if g.degree(v) == 0:
-            bridges.append(Bridge(frozenset(), frozenset({v}), frozenset(), False))
+    seen: set[int] = set()
+    for start in sorted(g.vertices - h_vertices):
+        if start in seen:
+            continue
+        nucleus, attachments, edges = {start}, set(), set()
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for e in g.edges_at(v):
+                edges.add(e)
+                w = g.other_end(e, v)
+                if w in h_vertices:
+                    attachments.add(w)
+                elif w not in nucleus:
+                    nucleus.add(w)
+                    stack.append(w)
+        seen |= nucleus
+        bridges.append(Bridge(frozenset(attachments), frozenset(nucleus), frozenset(edges), False))
+    h_edges = h.edge_set()
+    for e, ends in g.edge_items():
+        if e not in h_edges and h_vertices.issuperset(ends):
+            bridges.append(Bridge(frozenset(ends), frozenset(), frozenset({e}), True))
     bridges.sort(key=Bridge.sort_key)
     _assert_partition(g, h, bridges)
     return bridges

@@ -29,6 +29,7 @@ from .graph import (
     Multigraph,
     PathInGraph,
     _assemble,
+    degree2_chains,
     delete_edges,
     extend,
     make_pair,
@@ -431,27 +432,12 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
 def _walk_cycle(g: Multigraph, edges: Iterable[int]) -> PathInGraph:
     """The cycle that `edges` form, walked a -> b -> ... -> a from its least edge (a, b).
 
-    InconsistencyDetected unless every vertex they touch has two of them and
-    the walk uses them all.
+    InconsistencyDetected unless they are one closed degree-2 chain.
     """
-    ids = set(edges)
-    at: dict[int, list[int]] = {}
-    for x in ids:
-        for end in g.endpoints(x):
-            at.setdefault(end, []).append(x)
-    if not ids or any(len(xs) != 2 for xs in at.values()):
-        raise InconsistencyDetected("the edges crossing e do not form a cycle")
-    first = min(ids)
-    a, v = g.endpoints(first)
-    verts, walked = [a, v], [first]
-    while v != a:
-        x = next(y for y in at[v] if y != walked[-1])
-        v = g.other_end(x, v)
-        verts.append(v)
-        walked.append(x)
-    if len(walked) != len(ids):
-        raise InconsistencyDetected("the edges crossing e form more than one cycle")
-    return PathInGraph(tuple(verts), tuple(walked))
+    chains = degree2_chains(restrict(g, edges))
+    if len(chains) != 1 or not chains[0].is_cycle:
+        raise InconsistencyDetected("the edges crossing e do not form one cycle")
+    return chains[0]
 
 
 def _subdivided_cycle(

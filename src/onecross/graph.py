@@ -229,12 +229,13 @@ def is_connected(g: Multigraph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def degree2_chains(g: Multigraph) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
-    """The maximal paths of g whose interior vertices have degree 2.
+def degree2_chains(g: Multigraph) -> list[PathInGraph]:
+    """The maximal walks of g whose interior vertices have degree 2.
 
-    Each chain is (its edge ids, its two end vertices); a component that is a
-    cycle is one chain whose ends coincide. Every edge lies in exactly one
-    chain, and chains come in order of their least edge id.
+    An open chain runs from one end to the other; a component that is a cycle
+    is one closed chain, starting at its least edge's first end and running
+    through that edge. Every edge lies in exactly one chain, and chains come
+    in order of their least edge id.
     """
     seen: set[int] = set()
     chains = []
@@ -242,19 +243,22 @@ def degree2_chains(g: Multigraph) -> list[tuple[tuple[int, ...], tuple[int, int]
         if first in seen:
             continue
         seen.add(first)
-        edges = [first]
-        ends = []
-        for v in g.endpoints(first):
-            prev = first
+        a, b = g.endpoints(first)
+        walks = []
+        # ahead from b first: round a cycle it comes back to a, leaving no walk back from a
+        for v in (b, a):
+            verts, edges, prev = [v], [], first
             while g.degree(v) == 2:
                 nxt = next(x for x in g.edges_at(v) if x != prev)
                 if nxt in seen:  # walked all the way round a cycle
                     break
                 seen.add(nxt)
-                edges.append(nxt)
                 prev, v = nxt, g.other_end(nxt, v)
-            ends.append(v)
-        chains.append((tuple(edges), (ends[0], ends[1])))
+                verts.append(v)
+                edges.append(nxt)
+            walks.append((verts, edges))
+        (ahead_vs, ahead_es), (back_vs, back_es) = walks
+        chains.append(PathInGraph(tuple(back_vs[::-1] + ahead_vs), tuple(back_es[::-1] + [first] + ahead_es)))
     return chains
 
 
@@ -283,9 +287,7 @@ class EdgePair:
 
 
 def make_pair(a: int, b: int) -> EdgePair:
-    if a == b:
-        raise ValueError("edge pair must contain two distinct edges")
-    return EdgePair(min(a, b), max(a, b))
+    return EdgePair(a, b)
 
 
 @dataclass(frozen=True)
@@ -447,47 +449,3 @@ def all_cycles(g: Multigraph, budget: _StepBudget | None = None) -> Iterator[Pat
     """All cycles of g, each exactly once (anchored at its minimum edge id)."""
     for e in g.edge_ids():
         yield from cycles_through_edge(g, e, budget=budget, min_edge_id=e)
-
-
-# ---------------------------------------------------------------------------
-# Bridge bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def bridge_edge_groups(g: Multigraph, h: PathInGraph) -> list[frozenset[int]]:
-    """Partition E(g) \\ E(h) into H-bridge edge groups, ordered by smallest id.
-
-    A group is either a single chord edge with both ends on H, or the edges of
-    one component of g - V(H) together with its attachment edges.
-    """
-    h_vertices, h_edges = h.vertex_set(), h.edge_set()
-    groups: list[set[int]] = []
-    assigned: set[int] = set()
-
-    seen: set[int] = set()
-    for start in sorted(g.vertices - h_vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        group: set[int] = set()
-        while stack:
-            v = stack.pop()
-            for e in g.edges_at(v):
-                group.add(e)
-                w = g.other_end(e, v)
-                if w not in h_vertices and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        if group:
-            groups.append(group)
-            assigned |= group
-
-    for e, (u, v) in g.edge_items():
-        if e in h_edges or e in assigned:
-            continue
-        # both ends on H: a chord bridge of its own
-        groups.append({e})
-
-    return sorted((frozenset(grp) for grp in groups), key=min)

@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import networkx as nx
 
@@ -325,7 +326,7 @@ class KuratowskiCert:
 
         # contracting each branch must give exactly K5 / K3,3
         if self.kind == "K5":
-            want = {frozenset(p) for p in _pairs(sorted(bset))}
+            want = {frozenset(p) for p in combinations(bset, 2)}
         else:
             if self.parts is None:
                 raise ValueError("K33 certificate must carry its parts")
@@ -335,10 +336,6 @@ class KuratowskiCert:
             want = {frozenset((a, b)) for a in part_a for b in part_b}
         if set(end_pairs) != want or len(end_pairs) != len(want):
             raise ValueError("branch end pairs do not contract to the expected graph")
-
-
-def _pairs(items: Sequence[int]) -> list[tuple[int, int]]:
-    return [(items[i], items[j]) for i in range(len(items)) for j in range(i + 1, len(items))]
 
 
 # ---------------------------------------------------------------------------
@@ -428,32 +425,39 @@ def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
     chain, so the greedy stops untested.
     """
     chains = degree2_chains(gs)
+    ends = [(c.vertices[0], c.vertices[-1]) for c in chains]
     # a chain that closes on itself is in no subdivision: dropped untested
-    kept = {i for i, (_, (a, b)) in enumerate(chains) if a != b}
-    degree = Counter(v for i in kept for v in chains[i][1])
+    kept = {i for i, (a, b) in enumerate(ends) if a != b}
+    degree = Counter(v for i in kept for v in ends[i])
     tally = Counter(min(d, 5) for d in degree.values())  # 5 stands for any more
     for i in sorted(kept):
         if tally[1] == tally[5] == 0 and (tally[3], tally[4]) in ((6, 0), (0, 5)):
-            if nx.is_connected(nx.Graph([chains[j][1] for j in kept])):
+            if nx.is_connected(nx.Graph([ends[j] for j in kept])):
                 break
-        trial = nx.Graph([chains[j][1] for j in kept if j != i])
+        trial = nx.Graph([ends[j] for j in kept if j != i])
         if not nx.check_planarity(trial, counterexample=False)[0]:
             kept.discard(i)
-            for v in chains[i][1]:
+            for v in ends[i]:
                 tally[min(degree[v], 5)] -= 1
                 degree[v] -= 1
                 tally[min(degree[v], 5)] += 1
-    edges = {e for i in kept for e in chains[i][0]}
+    edges = {e for i in kept for e in chains[i].edges}
     return parse_subdivision(gs, edges)
 
 
 def parse_subdivision(host: Multigraph, edge_ids: Iterable[int]) -> KuratowskiCert:
-    """Parse an edge set known to be an edge-minimal Kuratowski subdivision."""
+    """Parse an edge set known to be an edge-minimal Kuratowski subdivision.
+
+    Its branches are the degree-2 chains of the subgraph and its branch
+    vertices their ends. For K3,3, the least branch vertex's part is it and
+    the two it has no branch to.
+    """
     ids = set(edge_ids)
     sub = restrict(host, ids)
-    deg = {v: sub.degree(v) for v in sub.vertices if sub.degree(v) > 0}
-    branch_vertices = tuple(sorted(v for v, d in deg.items() if d != 2))
-    degrees = {deg[v] for v in branch_vertices}
+    branches = degree2_chains(sub)
+    ends = [(br.vertices[0], br.vertices[-1]) for br in branches]
+    branch_vertices = tuple(sorted({v for pair in ends for v in pair}))
+    degrees = {sub.degree(v) for v in branch_vertices}
     if degrees == {4} and len(branch_vertices) == 5:
         kind = "K5"
     elif degrees == {3} and len(branch_vertices) == 6:
@@ -461,44 +465,12 @@ def parse_subdivision(host: Multigraph, edge_ids: Iterable[int]) -> KuratowskiCe
     else:
         raise InconsistencyDetected(f"kernel is not a Kuratowski subdivision: degrees {sorted(degrees)}")
 
-    used: set[int] = set()
-    branches: list[PathInGraph] = []
-    for bv in branch_vertices:
-        for e in sorted(sub.edges_at(bv)):
-            if e in used:
-                continue
-            verts = [bv]
-            edges = []
-            v, cur = bv, e
-            while True:
-                edges.append(cur)
-                used.add(cur)
-                v = sub.other_end(cur, v)
-                verts.append(v)
-                if deg[v] != 2:
-                    break
-                nxt = [x for x in sub.edges_at(v) if x != cur]
-                cur = nxt[0]
-            branches.append(PathInGraph(tuple(verts), tuple(edges)))
-
     parts = None
     if kind == "K33":
-        # 2-colour branch vertices: branch ends always lie in different parts
-        colour = {branch_vertices[0]: 0}
-        frontier = [branch_vertices[0]]
-        adj: dict[int, set[int]] = {v: set() for v in branch_vertices}
-        for br in branches:
-            adj[br.vertices[0]].add(br.vertices[-1])
-            adj[br.vertices[-1]].add(br.vertices[0])
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in colour:
-                    colour[w] = 1 - colour[v]
-                    frontier.append(w)
-        part0 = tuple(sorted(v for v in branch_vertices if colour[v] == 0))
-        part1 = tuple(sorted(v for v in branch_vertices if colour[v] == 1))
-        parts = (part0, part1) if min(part0) < min(part1) else (part1, part0)
+        first = branch_vertices[0]
+        joined = {b if a == first else a for a, b in ends if first in (a, b)}
+        parts = (tuple(v for v in branch_vertices if v not in joined),
+                 tuple(v for v in branch_vertices if v in joined))
 
     cert = KuratowskiCert(kind, branch_vertices, parts, tuple(branches), frozenset(ids))
     cert.validate(host)

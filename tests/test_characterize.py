@@ -495,7 +495,9 @@ def test_constructive_builder_makes_no_path_search(monkeypatch, v8, siran, k33):
 def test_walk_cycle_refuses_what_is_not_one_cycle():
     two_triangles = graph.build([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     path = graph.build([(0, 1), (1, 2), (2, 3)])
-    for g in (two_triangles, path):
+    figure_eight = graph.build([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    theta = graph.build([(0, 1), (1, 2), (0, 3), (3, 2), (0, 2)])
+    for g in (two_triangles, path, figure_eight, theta):
         with pytest.raises(InconsistencyDetected):
             characterize._walk_cycle(g, g.edge_ids())
     square = graph.build([(0, 1), (2, 3), (1, 2), (3, 0)])

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from onecross import families
+from onecross.bridges import decompose
 from onecross.errors import LoopEdge, NotACycle, UnknownEdge
 from onecross.graph import (
     PathInGraph,
     build,
-    bridge_edge_groups,
     cycles_through_edge,
     degree2_chains,
     delete_edges,
@@ -190,11 +191,16 @@ def test_degree2_chains():
     # hanging at 0 and a separate 3-cycle
     g = build([(0, 1), (1, 3), (0, 2), (3, 2), (0, 3), (3, 4), (4, 5),
                (0, 6), (6, 7), (7, 0), (8, 9), (9, 10), (10, 8)])
-    chains = [(sorted(es), sorted(ends)) for es, ends in degree2_chains(g)]
-    assert chains == [
+    chains = degree2_chains(g)
+    assert [(sorted(c.edges), sorted((c.vertices[0], c.vertices[-1]))) for c in chains] == [
         ([0, 1], [0, 3]), ([2, 3], [0, 3]), ([4], [0, 3]), ([5, 6], [3, 5]),
-        ([7, 8, 9], [0, 0]), ([10, 11, 12], [9, 9]),
+        ([7, 8, 9], [0, 0]), ([10, 11, 12], [8, 8]),
     ]
+    for c in chains:
+        c.validate(g)
+        assert all(g.degree(v) == 2 for v in c.vertices[1:-1])
+    # a cycle component starts at its least edge's first end, through that edge
+    assert chains[-1].vertices == (8, 9, 10, 8)
 
 
 def test_simplify_keeps_lowest_ids():
@@ -211,13 +217,13 @@ def test_simplify_keeps_lowest_ids():
 
 def test_bridge_groups_partition(v8):
     cycle = cycle_from_vertices(v8, list(range(8)))
-    groups = bridge_edge_groups(v8, cycle)
+    groups = [b.edges for b in decompose(v8, cycle)]
     assert [sorted(grp) for grp in groups] == [[8], [9], [10], [11]]
 
 
 def test_bridge_groups_component_with_legs(k4):
     tri = cycle_from_vertices(k4, [0, 1, 2])
-    groups = bridge_edge_groups(k4, tri)
+    groups = [b.edges for b in decompose(k4, tri)]
     assert len(groups) == 1
     assert {tuple(sorted(k4.endpoints(e))) for e in groups[0]} == {(0, 3), (1, 3), (2, 3)}
 
@@ -260,12 +266,34 @@ def test_bridge_groups_always_partition(g, data):
     s, t = data.draw(st.lists(st.sampled_from(vs), min_size=2, max_size=2, unique=True))
     paths = list(simple_paths(g, s, t))
     h = data.draw(st.sampled_from(paths)) if paths else PathInGraph((s,), ())
-    groups = bridge_edge_groups(g, h)
+    bridges = decompose(g, h)
     union = set()
-    for grp in groups:
-        assert not (grp & union)
-        union |= grp
+    for b in bridges:
+        assert not (b.edges & union)
+        union |= b.edges
     assert union == set(g.edge_ids()) - set(h.edges)
+    # the nuclei are the components of g - V(H), each attached at its neighbours on H
+    G = nx.MultiGraph([ends for _, ends in g.edge_items()])
+    G.add_nodes_from(g.vertices)
+    rest = G.subgraph(g.vertices - h.vertex_set())
+    components = {frozenset(c) for c in nx.connected_components(rest)}
+    assert {b.nucleus for b in bridges if not b.is_chord} == components
+    for b in bridges:
+        if b.is_chord:
+            assert not b.nucleus and b.attachments == frozenset(g.endpoints(min(b.edges)))
+        else:
+            neighbours = {w for v in b.nucleus for w in G[v]} - b.nucleus
+            assert b.attachments == neighbours
+
+
+@given(small_multigraphs())
+def test_degree2_chains_partition_the_edges_in_least_edge_order(g):
+    chains = degree2_chains(g)
+    assert sorted(e for c in chains for e in c.edges) == sorted(g.edge_ids())
+    assert [min(c.edges) for c in chains] == sorted(min(c.edges) for c in chains)
+    for c in chains:
+        c.validate(g)
+        assert all(g.degree(v) == 2 for v in c.vertices[1:-1])
 
 
 @given(small_multigraphs())

@@ -14,7 +14,7 @@ from onecross.kuratowski import (
     enumerate_kuratowski,
     is_crossing_pair_in_kuratowski,
 )
-from onecross.planarity import test_planarity as run_planarity
+from onecross.planarity import parse_subdivision, test_planarity as run_planarity
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +207,20 @@ def test_every_cert_is_nonplanar_and_distinct(v8, k6):
             seen.add(cert.edges)
             cert.validate(g)
             assert not run_planarity(restrict(g, cert.edges)).planar
+
+
+def test_parse_subdivision_reads_back_every_enumerated_subdivision():
+    # parsing walks the chains of the edge set alone; enumeration chose the
+    # branch vertices, parts and paths first: both must name the same structure
+    count = 0
+    for g in families.atlas_connected(7):
+        for cert in enumerate_kuratowski(g):
+            parsed = parse_subdivision(g, cert.edges)
+            assert parsed.kind == cert.kind
+            assert (parsed.branch_vertices, parsed.parts) == (cert.branch_vertices, cert.parts)
+            assert {b.edge_set() for b in parsed.branches} == {b.edge_set() for b in cert.branches}
+            count += 1
+    assert count == 10850
 
 
 def test_limit_stops_enumeration(k6):

@@ -5,11 +5,18 @@ taken before the left-right test started reading multigraphs without a
 simplified copy, so a change to how parallel edges reach networkx (and hence
 to any embedding or drawing in a report) shows here. The two multigraphs
 guard the order of each parallel class in the rotations.
+
+One more digest pins `decide --verify` on every decide input of the
+benchmark's `expected.json`, read as the benchmark reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +75,36 @@ def test_report_bytes(name, command, tmp_path, capsys):
 
 def test_every_input_is_pinned():
     assert set(GOLDEN) == {(name, c) for name in INPUTS for c in ("decide", "pairs")}
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+# sha256 over each input's exit code and stdout, in the order of _decide_inputs
+DECIDE_INPUTS_DIGEST = "240298204497173c955aaa252c2a05b36713bb7fe85455a5581187b555633f58"
+
+
+def _decide_inputs() -> list[str]:
+    """The family members, then every graph of the random decide pools."""
+    spec = importlib.util.spec_from_file_location("onecross_bench_workloads", BENCHMARKS / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    data = json.loads((BENCHMARKS / "expected.json").read_text(encoding="utf-8"))["decide"]
+    texts = [workloads.edge_list_text(workloads.in_appearance_order(workloads.family(fam["name"])))
+             for fam in data["families"]]
+    for pool in ("random_planar", "random_nonplanar", "random_subdivided"):
+        texts += [entry["graph6"] + "\n" for entry in data[pool]]
+    return texts
+
+
+def test_decide_bytes_on_the_benchmark_inputs(tmp_path, capsys):
+    digest = hashlib.sha256()
+    texts = _decide_inputs()
+    path = tmp_path / "g.txt"
+    for text in texts:
+        path.write_text(text)
+        code = main(["decide", str(path), "--verify"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert (len(texts), digest.hexdigest()) == (225, DECIDE_INPUTS_DIGEST)
