@@ -31,7 +31,9 @@ from .graph import (
     _assemble,
     degree2_chains,
     delete_edges,
+    expand_path,
     extend,
+    kernel,
     make_pair,
     restrict,
 )
@@ -296,29 +298,41 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
         `one` verdict with the oracle's drawing;
       * otherwise the oracle's refusal is held back.
 
+    Subdividing edges and dropping cycles that hang at one vertex change
+    neither the deletions' planarity nor the gadget verdicts, so both tests
+    run on g's kernel, once per kernel edge or kernel pair; only a hit is
+    drawn on g itself.
+
     Only when every candidate fails is the evidence for cr >= 2 built, in
     candidate order. A deletion g - x that stays nonplanar is covered by a
     validated Kuratowski subdivision that avoids x, since that is a subgraph
-    of g - x: one built for an earlier edge if any avoids x, else g - x's own,
-    so one subdivision covers many deletions. A refused pair gets a separation
-    witness. By the equivalence of (i) and (iii) such a witness exists; a
-    NOT_SEPARATED verdict is an inconsistency. `budget` bounds each of these
-    separation searches.
+    of g - x: one built for an earlier edge if any avoids x, else the kernel
+    deletion's own, expanded to g, so one subdivision covers many deletions.
+    A refused pair gets a separation witness. By the equivalence of (i) and
+    (iii) such a witness exists; a NOT_SEPARATED verdict is an inconsistency.
+    `budget` bounds each of these separation searches.
     """
     res = test_planarity(g)
     if res.planar:
         return CrossingDecision(PLANAR, res.embedding, None, ())
 
-    deletion = _deletion_tests(g)
+    k, walks = kernel(g)
+    kernel_edge = {x: e for e, walk in walks.items() for x in walk.edges}
+    deletion = _deletion_tests(k)
+    screen = functools.cache(lambda p: oracle_crossing_pair(k, p))
     # each failed pair, with its edge x if g - x stays nonplanar
     held: list[tuple[EdgePair, int | None]] = []
     for pair in _candidate_pairs(res.kuratowski):
-        x = next((y for y in (pair.e, pair.f) if not deletion(y).planar), None)
+        x = next((y for y in pair if not deletion(kernel_edge[y]).planar), None)
         if x is not None:
             held.append((pair, x))
             continue
-        drawing = oracle_crossing_pair(g, pair)
+        drawing = screen(make_pair(kernel_edge[pair.e], kernel_edge[pair.f]))
         if drawing is not None:
+            if k is not g:
+                drawing = oracle_crossing_pair(g, pair)
+            if drawing is None:
+                raise InconsistencyDetected(f"the gadget of ({pair.e},{pair.f}) is planar on the kernel only")
             return CrossingDecision(EXACTLY_ONE, None, drawing, ())
         held.append((pair, None))
 
@@ -327,7 +341,9 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
     for pair, x in held:
         if x is not None:
             if all(x in cover.edges for cover in covers):
-                covers.append(deletion(x).kuratowski)
+                covers.append(_expanded(deletion(kernel_edge[x]).kuratowski, walks, g))
+                if x in covers[-1].edges:
+                    raise InconsistencyDetected(f"the subdivision of g - {x} contains {x}")
             failures.append(PairFailure(pair, "deletion_nonplanar", None))
             continue
         sep = separated_by_cycles(g, pair, budget=budget)
@@ -337,6 +353,15 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
             )
         failures.append(PairFailure(pair, "separated", sep))
     return CrossingDecision(AT_LEAST_TWO, None, None, tuple(failures))
+
+
+def _expanded(cert: KuratowskiCert, walks: dict[int, PathInGraph], g: Multigraph) -> KuratowskiCert:
+    """A Kuratowski subdivision of a kernel of g, each branch expanded along the walks, validated on g."""
+    branches = tuple(expand_path(b, walks) for b in cert.branches)
+    out = KuratowskiCert(cert.kind, cert.branch_vertices, cert.parts, branches,
+                         frozenset(e for b in branches for e in b.edges))
+    out.validate(g)
+    return out
 
 
 def _candidate_pairs(cert: KuratowskiCert) -> Iterator[EdgePair]:

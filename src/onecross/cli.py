@@ -28,10 +28,8 @@ from .characterize import (
     oracle_crossing_pair,
 )
 from .errors import BudgetExceeded, InconsistencyDetected, OnecrossError, PlanarInput
-from .families import atlas_connected
 from .formats import FormatError, parse_input, write_graph6
 from .graph import EdgePair, Multigraph, make_pair
-from .layout import to_dot, to_svg
 from .planarity import KuratowskiCert, RotationSystem, test_planarity
 from .separation import SeparationVerdict, verify_separation_witness
 
@@ -233,6 +231,8 @@ def _resolve_edge(g: Multigraph, labels: list[str], spec: str) -> int:
 
 
 def cmd_draw(args: argparse.Namespace) -> int:
+    from .layout import to_dot, to_svg
+
     g, labels = _load(args)
     e = _resolve_edge(g, labels, args.pair[0])
     f = _resolve_edge(g, labels, args.pair[1])
@@ -347,6 +347,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             return EXIT_PARSE
         graphs = _random_graphs(args.count, args.max_n, args.max_edges, args.seed)
     else:
+        from .families import atlas_connected
+
         if args.max_n > 7:
             sys.stderr.write("exhaustive sweeps use the 7-vertex atlas; pass --count for random mode\n")
             return EXIT_BUDGET

@@ -262,6 +262,34 @@ def degree2_chains(g: Multigraph) -> list[PathInGraph]:
     return chains
 
 
+def kernel(g: Multigraph) -> tuple[Multigraph, dict[int, PathInGraph]]:
+    """g with each degree-2 chain smoothed to one edge, and each kernel edge's walk in g.
+
+    Chains that close on themselves are dropped, and smoothing repeats until
+    no vertex has degree 2. A kernel edge keeps its walk's least id and ends.
+    Without a degree-2 vertex the kernel is g itself.
+    """
+    k, walks = g, {e: PathInGraph(ends, (e,)) for e, ends in g.edge_items()}
+    while any(k.degree(v) == 2 for v in k.vertices):
+        open_chains = [c for c in degree2_chains(k) if not c.is_cycle]
+        walks = {min(c.edges): expand_path(c, walks) for c in open_chains}
+        k = _assemble(frozenset(v for v in k.vertices if k.degree(v) != 2),
+                      {e: (w.vertices[0], w.vertices[-1]) for e, w in walks.items()})
+    return k, walks
+
+
+def expand_path(path: PathInGraph, walks: dict[int, PathInGraph]) -> PathInGraph:
+    """A path of a kernel, each edge replaced by its walk."""
+    verts, edges = [path.vertices[0]], []
+    for e in path.edges:
+        w = walks[e]
+        if w.vertices[0] != verts[-1]:
+            w = PathInGraph(w.vertices[::-1], w.edges[::-1])
+        verts += w.vertices[1:]
+        edges += w.edges
+    return PathInGraph(tuple(verts), tuple(edges))
+
+
 # ---------------------------------------------------------------------------
 # Paths and cycles
 # ---------------------------------------------------------------------------

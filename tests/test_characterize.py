@@ -349,6 +349,62 @@ def test_decide_long_subdivision_in_few_tests(lr_tests, monkeypatch):
     assert len(probed) <= 10_000
 
 
+def test_decide_long_subdivision_tests_the_full_graph_twice(lr_tests):
+    # K5 with each edge a path of 300 edges: the deletions and the gadget
+    # screening run on the kernel K5, so only g's own test and the final
+    # drawing test the 3,000 edges (4 such tests before)
+    g = subdivided(families.complete_graph(5), [300] * 10)
+    assert crossing_number_le_1(g).kind == EXACTLY_ONE
+    assert sum(1 for m in lr_tests if m > 1000) <= 2
+
+
+def test_decide_long_subdivision_of_k6_on_its_kernel(lr_tests, extractions):
+    # K6 with each edge a path of 60 edges decides like K6: one deletion test
+    # per chain, not per edge (483 tests before), and the same 5 extractions,
+    # g's own and then one per cover, each of K6 less a kernel edge
+    g = subdivided(families.complete_graph(6), [60] * 15)
+    decision = crossing_number_le_1(g)
+    assert decision.kind == AT_LEAST_TWO
+    assert len(decision.failures) == 54_000
+    assert len(lr_tests) <= 100
+    assert len(extractions) == 5
+    assert all(gs.m == 14 for gs, _cert in extractions[1:])
+
+
+def test_decide_kernel_hit_refused_on_g_is_an_inconsistency(monkeypatch):
+    # the gadget verdict does not change under subdivision: a kernel hit
+    # that g's own oracle refuses is an implementation bug
+    g = subdivided(families.complete_graph(5), [2] * 10)
+    oracle = characterize.oracle_crossing_pair
+    monkeypatch.setattr(characterize, "oracle_crossing_pair", lambda h, p: None if h is g else oracle(h, p))
+    with pytest.raises(InconsistencyDetected, match="planar on the kernel only"):
+        crossing_number_le_1(g)
+
+
+def test_decide_is_invariant_under_subdivision():
+    # every connected nonplanar atlas graph, each edge a path of 1-3 edges:
+    # the same verdict, and a `one` drawing crosses the paths of the atlas
+    # graph's own pair
+    rng = random.Random(2301)
+    graphs = 0
+    for g in families.atlas_connected(7):
+        if run_planarity(g).planar:
+            continue
+        graphs += 1
+        lengths = [rng.randint(1, 3) for _ in range(g.m)]
+        h = subdivided(g, lengths)
+        want, got = crossing_number_le_1(g), crossing_number_le_1(h)
+        assert got.kind == want.kind
+        if got.kind == EXACTLY_ONE:
+            got.drawing.validate(h)
+            first = [sum(lengths[:i]) for i in range(g.m + 1)]
+            path = {e: range(first[e], first[e + 1]) for e in g.edge_ids()}
+            pair = want.drawing.crossing_pair
+            assert got.drawing.crossing_pair.e in path[pair.e]
+            assert got.drawing.crossing_pair.f in path[pair.f]
+    assert graphs == 221
+
+
 # the triangular prism with an apex joined to all six vertices: cr >= 2, and
 # two of the candidates of its first subdivision have planar deletions
 PRISM_APEX = parse_graph6("FtTnw")

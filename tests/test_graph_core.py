@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -15,13 +17,14 @@ from onecross.graph import (
     degree2_chains,
     delete_edges,
     extend,
+    kernel,
     make_pair,
     restrict,
     simple_paths,
     simplify,
     subdivide_edge,
 )
-from helpers import cycle_from_vertices
+from helpers import cycle_from_vertices, subdivided
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +335,84 @@ def test_avoiding_paths_empty_h_matches_dfs_on_atlas():
         got = sorted(p.vertices for p in simple_paths(g, s, t))
         want = sorted(all_simple(g, s, t, {s}))
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the kernel: degree-2 chains smoothed, closed chains dropped
+# ---------------------------------------------------------------------------
+
+
+def _kernel_one_vertex_at_a_time(g) -> tuple[dict, dict]:
+    """Reference kernel: smooth one degree-2 vertex at a time; when its two
+    edges go to one neighbour, they would close a loop, and both are dropped.
+
+    Returns each kept edge's ends and the edges of g merged into it.
+    """
+    ends = {e: frozenset(p) for e, p in g.edge_items()}
+    merged = {e: {e} for e in ends}
+    while True:
+        degree = Counter(v for p in ends.values() for v in p)
+        v = next((v for v in sorted(degree) if degree[v] == 2), None)
+        if v is None:
+            return ends, merged
+        h1, h2 = sorted(e for e, p in ends.items() if v in p)
+        (a,), (b,) = ends.pop(h1) - {v}, ends.pop(h2) - {v}
+        edges = merged.pop(h1) | merged.pop(h2)
+        if a != b:
+            ends[h1], merged[h1] = frozenset((a, b)), edges
+
+
+@given(small_multigraphs())
+def test_kernel_smooths_every_degree2_vertex(g):
+    k, walks = kernel(g)
+    assert sorted(walks) == list(k.edge_ids())
+    covered = [x for walk in walks.values() for x in walk.edges]
+    assert len(covered) == len(set(covered))
+    for e, walk in walks.items():
+        walk.validate(g)
+        assert e == min(walk.edges)
+        assert set(k.endpoints(e)) == {walk.vertices[0], walk.vertices[-1]}
+    assert all(k.degree(v) != 2 for v in k.vertices)
+    # the walks are the reference's merged edges: they partition the edges
+    # outside the closed chains, which are dropped whole
+    ends, merged = _kernel_one_vertex_at_a_time(g)
+    assert {e: frozenset(k.endpoints(e)) for e in k.edge_ids()} == ends
+    assert {e: set(walk.edges) for e, walk in walks.items()} == merged
+
+
+def test_kernel_drops_a_hanging_triangle_then_smooths_its_branch():
+    # K5 with each edge a 3-edge path and a triangle hanging at vertex 5, the
+    # first interior vertex of edge 0's path: once the triangle is dropped,
+    # vertex 5 has degree 2 and the path smooths to one edge
+    g, _ = extend(subdivided(families.complete_graph(5), [3] * 10), [100, 101], [(5, 100), (100, 101), (101, 5)])
+    k, walks = kernel(g)
+    k5 = families.complete_graph(5)
+    assert k.vertices == k5.vertices
+    assert [(e, set(k.endpoints(e))) for e in k.edge_ids()] == [(3 * e, set(p)) for e, p in k5.edge_items()]
+    assert walks[0] == PathInGraph((0, 5, 6, 1), (0, 1, 2))
+    assert not {30, 31, 32} & {x for walk in walks.values() for x in walk.edges}
+
+
+def test_kernel_keeps_parallel_chains_as_parallel_edges():
+    # 0 and 3 joined by two 2-edge paths and an edge
+    g = build([(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)])
+    k, walks = kernel(g)
+    assert k.vertices == {0, 3}
+    assert k.edges_between(0, 3) == (0, 2, 4)
+    assert [walks[e].edges for e in (0, 2, 4)] == [(0, 1), (2, 3), (4,)]
+
+
+def test_kernel_smooths_a_pendant_path():
+    g, _ = extend(families.complete_graph(4), [4, 5], [(0, 4), (4, 5)])
+    k, walks = kernel(g)
+    assert k.vertices == {0, 1, 2, 3, 5}
+    assert k.endpoints(6) == (0, 5) and walks[6] == PathInGraph((0, 4, 5), (6, 7))
+    assert k.degree(5) == 1
+
+
+def test_kernel_of_a_graph_without_degree2_vertices_is_itself():
+    k5 = families.complete_graph(5)
+    g, _ = extend(k5, [], [(10 + a, 10 + b) for _, (a, b) in families.complete_bipartite(3, 3).edge_items()])
+    k, walks = kernel(g)
+    assert k is g
+    assert walks == {e: PathInGraph(p, (e,)) for e, p in g.edge_items()}

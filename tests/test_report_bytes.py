@@ -7,7 +7,8 @@ to any embedding or drawing in a report) shows here. The two multigraphs
 guard the order of each parallel class in the rotations.
 
 One more digest pins `decide --verify` on every decide input of the
-benchmark's `expected.json`, read as the benchmark reads it.
+benchmark's `expected.json`, read as the benchmark reads it, and one its
+report on K6 with each edge a path of 60 edges.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from onecross import families
 from onecross.cli import main
 from onecross.formats import write_edge_list
+from helpers import subdivided
 
 INPUTS = {
     "v8": write_edge_list(families.v8()),
@@ -108,3 +110,14 @@ def test_decide_bytes_on_the_benchmark_inputs(tmp_path, capsys):
         code = main(["decide", str(path), "--verify"])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert (len(texts), digest.hexdigest()) == (225, DECIDE_INPUTS_DIGEST)
+
+
+def test_decide_bytes_on_a_long_subdivision_of_k6(tmp_path, capsys):
+    # 54,000 rejected pairs, decided on the kernel K6 but reported per edge
+    path = tmp_path / "k6s60.txt"
+    path.write_text(write_edge_list(subdivided(families.complete_graph(6), [60] * 15)))
+    code = main(["decide", str(path), "--verify"])
+    out = capsys.readouterr().out
+    assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        2, 5_400_202, "5d9c1f1dfc13428138d533883875ad810c53f7beef87cb0bffeeda70555e8a3b"
+    )
