@@ -298,10 +298,9 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
         `one` verdict with the oracle's drawing;
       * otherwise the oracle's refusal is held back.
 
-    Subdividing edges and dropping cycles that hang at one vertex change
-    neither the deletions' planarity nor the gadget verdicts, so both tests
-    run on g's kernel, once per kernel edge or kernel pair; only a hit is
-    drawn on g itself.
+    Subdividing edges and dropping cycles that hang at one vertex do not
+    change a deletion's planarity, so the deletions are tested on g's kernel,
+    once per kernel edge.
 
     Only when every candidate fails is the evidence for cr >= 2 built, in
     candidate order. A deletion g - x that stays nonplanar is covered by a
@@ -319,7 +318,6 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
     k, walks = kernel(g)
     kernel_edge = {x: e for e, walk in walks.items() for x in walk.edges}
     deletion = _deletion_tests(k)
-    screen = functools.cache(lambda p: oracle_crossing_pair(k, p))
     # each failed pair, with its edge x if g - x stays nonplanar
     held: list[tuple[EdgePair, int | None]] = []
     for pair in _candidate_pairs(res.kuratowski):
@@ -327,12 +325,8 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
         if x is not None:
             held.append((pair, x))
             continue
-        drawing = screen(make_pair(kernel_edge[pair.e], kernel_edge[pair.f]))
+        drawing = oracle_crossing_pair(g, pair)
         if drawing is not None:
-            if k is not g:
-                drawing = oracle_crossing_pair(g, pair)
-            if drawing is None:
-                raise InconsistencyDetected(f"the gadget of ({pair.e},{pair.f}) is planar on the kernel only")
             return CrossingDecision(EXACTLY_ONE, None, drawing, ())
         held.append((pair, None))
 

@@ -10,6 +10,7 @@ import pytest
 import onecross
 import onecross.bridges as bridges
 import onecross.characterize as characterize
+import onecross.cli as cli
 import onecross.graph as graph
 import onecross.planarity as planarity
 import onecross.separation as separation
@@ -32,11 +33,17 @@ from onecross.characterize import (
 from onecross.cli import main
 from onecross.errors import InconsistencyDetected, PlanarInput, PreconditionViolated
 from onecross.formats import parse_graph6, write_graph6
-from onecross.graph import Multigraph, delete_edges, extend, make_pair, paths_by_length
+from onecross.graph import Multigraph, PathInGraph, delete_edges, extend, make_pair, paths_by_length
 from onecross.kuratowski import enumerate_kuratowski, is_crossing_pair_in_kuratowski
 from onecross.planarity import test_planarity as run_planarity
 from onecross.separation import NOT_SEPARATED, separated_by_cycles
-from helpers import grid_with_diagonals, potential_crossing_pairs, random_nonplanar_graph, subdivided
+from helpers import (
+    decorated_subdivision,
+    grid_with_diagonals,
+    potential_crossing_pairs,
+    random_nonplanar_graph,
+    subdivided,
+)
 
 # V8 edge ids: rim i = (v_i, v_{i+1}) for i in 0..7, chord 8+i = (v_i, v_{i+4}).
 # Crossing pairs computed by the gadget oracle on first verified run and
@@ -350,9 +357,9 @@ def test_decide_long_subdivision_in_few_tests(lr_tests, monkeypatch):
 
 
 def test_decide_long_subdivision_tests_the_full_graph_twice(lr_tests):
-    # K5 with each edge a path of 300 edges: the deletions and the gadget
-    # screening run on the kernel K5, so only g's own test and the final
-    # drawing test the 3,000 edges (4 such tests before)
+    # K5 with each edge a path of 300 edges: the deletions run on the kernel
+    # K5, so only g's own test and the oracle's gadget test the 3,000 edges
+    # (4 such tests before)
     g = subdivided(families.complete_graph(5), [300] * 10)
     assert crossing_number_le_1(g).kind == EXACTLY_ONE
     assert sum(1 for m in lr_tests if m > 1000) <= 2
@@ -369,16 +376,6 @@ def test_decide_long_subdivision_of_k6_on_its_kernel(lr_tests, extractions):
     assert len(lr_tests) <= 100
     assert len(extractions) == 5
     assert all(gs.m == 14 for gs, _cert in extractions[1:])
-
-
-def test_decide_kernel_hit_refused_on_g_is_an_inconsistency(monkeypatch):
-    # the gadget verdict does not change under subdivision: a kernel hit
-    # that g's own oracle refuses is an implementation bug
-    g = subdivided(families.complete_graph(5), [2] * 10)
-    oracle = characterize.oracle_crossing_pair
-    monkeypatch.setattr(characterize, "oracle_crossing_pair", lambda h, p: None if h is g else oracle(h, p))
-    with pytest.raises(InconsistencyDetected, match="planar on the kernel only"):
-        crossing_number_le_1(g)
 
 
 def test_decide_is_invariant_under_subdivision():
@@ -403,6 +400,26 @@ def test_decide_is_invariant_under_subdivision():
             assert got.drawing.crossing_pair.e in path[pair.e]
             assert got.drawing.crossing_pair.f in path[pair.f]
     assert graphs == 221
+
+
+def _decision_json(d):
+    return (d.kind, d.drawing and cli._drawing_json(d.drawing),
+            [(f.pair, f.reason, f.separation and cli._separation_json(f.separation)) for f in d.failures])
+
+
+def test_decide_on_the_kernel_matches_the_per_edge_path(monkeypatch):
+    # decorated subdivisions of the connected nonplanar atlas graphs, with
+    # hanging cycles, pendant paths, chords, a parallel edge and shuffled
+    # ids: the same decision as with g as its own kernel, which tests every
+    # deletion g - x on g
+    rng = random.Random(2302)
+    graphs = [decorated_subdivision(rng, g) for g in families.atlas_connected(7) if not run_planarity(g).planar]
+    on_kernel = [_decision_json(crossing_number_le_1(h)) for h in graphs]
+    monkeypatch.setattr(characterize, "kernel", lambda g: (g, {e: PathInGraph(ends, (e,)) for e, ends in g.edge_items()}))
+    assert [_decision_json(crossing_number_le_1(h)) for h in graphs] == on_kernel
+    # some kernels take two smoothing rounds: a cycle hangs at a chain's
+    # interior vertex, which has degree 2 once the cycle is dropped
+    assert any(c.is_cycle and h.degree(c.vertices[0]) == 4 for h in graphs for c in graph.degree2_chains(h))
 
 
 # the triangular prism with an apex joined to all six vertices: cr >= 2, and
