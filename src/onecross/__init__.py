@@ -46,7 +46,6 @@ from .kuratowski import (
     is_crossing_pair_in_kuratowski,
 )
 from .planarity import (
-    Face,
     KuratowskiCert,
     PlanarityResult,
     RotationSystem,

@@ -43,6 +43,7 @@ from .planarity import (
     PlanarityResult,
     RotationSystem,
     embed_with_outer_cycle,
+    parse_subdivision,
     test_planarity,
 )
 from .separation import SeparationVerdict, separated_by_cycles
@@ -335,7 +336,8 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
     for pair, x in held:
         if x is not None:
             if all(x in cover.edges for cover in covers):
-                covers.append(_expanded(deletion(kernel_edge[x]).kuratowski, walks, g))
+                sub = deletion(kernel_edge[x]).kuratowski
+                covers.append(parse_subdivision(g, {y for e in sub.edges for y in walks[e].edges}))
                 if x in covers[-1].edges:
                     raise InconsistencyDetected(f"the subdivision of g - {x} contains {x}")
             failures.append(PairFailure(pair, "deletion_nonplanar", None))
@@ -347,15 +349,6 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
             )
         failures.append(PairFailure(pair, "separated", sep))
     return CrossingDecision(AT_LEAST_TWO, None, None, tuple(failures))
-
-
-def _expanded(cert: KuratowskiCert, walks: dict[int, PathInGraph], g: Multigraph) -> KuratowskiCert:
-    """A Kuratowski subdivision of a kernel of g, each branch expanded along the walks, validated on g."""
-    branches = tuple(expand_path(b, walks) for b in cert.branches)
-    out = KuratowskiCert(cert.kind, cert.branch_vertices, cert.parts, branches,
-                         frozenset(e for b in branches for e in b.edges))
-    out.validate(g)
-    return out
 
 
 def _candidate_pairs(cert: KuratowskiCert) -> Iterator[EdgePair]:
@@ -418,18 +411,18 @@ def build_one_drawing_constructive(g: Multigraph, p: EdgePair) -> OneDrawing:
         if not overlap(bridge_u, bridge_v, cycle).overlapping:
             raise InconsistencyDetected("the end bridges of e must overlap on the detaching cycle")
 
-        side_u = side_of_bridge(emb, cycle, bridge_u)
-        side_v = side_of_bridge(emb, cycle, bridge_v)
-        if side_u == side_v:
+        sides = {b: side_of_bridge(emb, cycle, b) for b in all_bridges}
+        if sides[bridge_u] == sides[bridge_v]:
             raise InconsistencyDetected("overlapping bridges embedded on one side")
 
         pz = planarize(g, p)
-        cycle_w = _subdivided_cycle(g, cycle, f, pz.w, pz.f_halves)
+        walks = {x: PathInGraph(g.endpoints(x), (x,)) for x in cycle.edges}
+        walks[f] = PathInGraph((pz.f_ends[0], pz.w, pz.f_ends[1]), pz.f_halves)
+        cycle_w = expand_path(cycle, walks)
         u_edges, v_edges = {pz.e_halves[0], *cycle_w.edges}, {pz.e_halves[1], *cycle_w.edges}
         u_verts, v_verts = set(cycle_w.vertices), set(cycle_w.vertices)
         for b in all_bridges:
-            side = side_of_bridge(emb, cycle, b)
-            target_e, target_v = (v_edges, v_verts) if side == side_v else (u_edges, u_verts)
+            target_e, target_v = (v_edges, v_verts) if sides[b] == sides[bridge_v] else (u_edges, u_verts)
             target_e |= b.edges
             target_v |= b.nucleus | b.attachments
 
@@ -457,27 +450,6 @@ def _walk_cycle(g: Multigraph, edges: Iterable[int]) -> PathInGraph:
     if len(chains) != 1 or not chains[0].is_cycle:
         raise InconsistencyDetected("the edges crossing e do not form one cycle")
     return chains[0]
-
-
-def _subdivided_cycle(
-    g: Multigraph, cycle: PathInGraph, f: int, m: int, halves: tuple[int, int]
-) -> PathInGraph:
-    a, b = g.endpoints(f)
-    h1, h2 = halves  # h1 = (a, m), h2 = (m, b)
-    verts: list[int] = []
-    edges: list[int] = []
-    for i, eid in enumerate(cycle.edges):
-        verts.append(cycle.vertices[i])
-        if eid != f:
-            edges.append(eid)
-            continue
-        verts.append(m)
-        if cycle.vertices[i] == a:
-            edges.extend((h1, h2))
-        else:
-            edges.extend((h2, h1))
-    verts.append(cycle.vertices[-1])
-    return PathInGraph(tuple(verts), tuple(edges))
 
 
 def _glue_along_cycle(

@@ -185,15 +185,8 @@ def simplify(g: Multigraph) -> tuple[Multigraph, dict[int, int]]:
 
     Returns the simple graph and a map edge id -> representative id.
     """
-    rep: dict[tuple[int, int], int] = {}
-    to_rep: dict[int, int] = {}
-    for e, (u, v) in g.edge_items():
-        key = (min(u, v), max(u, v))
-        if key not in rep:
-            rep[key] = e
-        to_rep[e] = rep[key]
-    keep = set(rep.values())
-    return restrict(g, keep, g.vertices), to_rep
+    to_rep = {e: es[0] for es in parallel_classes(g).values() for e in es}
+    return restrict(g, set(to_rep.values()), g.vertices), to_rep
 
 
 def parallel_classes(g: Multigraph) -> dict[tuple[int, int], tuple[int, ...]]:

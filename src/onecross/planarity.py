@@ -13,7 +13,7 @@ lives in `bruteforce` and never shares this code path.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -29,6 +29,7 @@ from .graph import (
     degree2_chains,
     delete_edges,
     extend,
+    kernel,
     parallel_classes,
     require_cycle,
     restrict,
@@ -41,36 +42,6 @@ Dart = tuple[int, int]  # (tail vertex, edge id)
 # ---------------------------------------------------------------------------
 # Rotation systems
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Face:
-    """One face of an embedding: usually a single boundary walk.
-
-    For disconnected graphs the designated outer face carries one walk per
-    component (plus any isolated vertices), following the convention that
-    every component presents its first traced walk to the shared outer face.
-    """
-
-    walks: tuple[tuple[Dart, ...], ...]
-    vertices: frozenset[int]
-    edges: frozenset[int]
-
-    def contains_vertex(self, v: int) -> bool:
-        return v in self.vertices
-
-    def contains_edge(self, e: int) -> bool:
-        return e in self.edges
-
-
-def _face_from_walks(walks: Sequence[tuple[Dart, ...]], extra_vertices: Iterable[int] = ()) -> Face:
-    verts = set(extra_vertices)
-    edges = set()
-    for walk in walks:
-        for v, e in walk:
-            verts.add(v)
-            edges.add(e)
-    return Face(tuple(walks), frozenset(verts), frozenset(edges))
 
 
 class RotationSystem:
@@ -135,33 +106,6 @@ class RotationSystem:
     def is_planar_embedding(self) -> bool:
         return self.euler_defect() == 0
 
-    def faces(self) -> tuple[Face, ...]:
-        """Faces of the embedding; raises NotPlanarEmbedding on Euler failure.
-
-        With several components, the first traced walk of each component is
-        merged into the single shared outer face.
-        """
-        if not self.is_planar_embedding():
-            raise NotPlanarEmbedding("rotation system is not a planar embedding")
-        comps = connected_components(self.graph)
-        if len(comps) == 1 and self.graph.m > 0:
-            return tuple(_face_from_walks([w]) for w in self.face_walks())
-        comp_of: dict[int, int] = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        first_walks: dict[int, tuple[Dart, ...]] = {}
-        inner: list[tuple[Dart, ...]] = []
-        for walk in self.face_walks():
-            ci = comp_of[walk[0][0]]
-            if ci not in first_walks:
-                first_walks[ci] = walk
-            else:
-                inner.append(walk)
-        isolated = [min(comp) for comp in comps if all(self.graph.degree(v) == 0 for v in comp)]
-        outer = _face_from_walks([first_walks[i] for i in sorted(first_walks)], isolated)
-        return (outer,) + tuple(_face_from_walks([w]) for w in inner)
-
     def mirrored(self) -> "RotationSystem":
         return RotationSystem(self.graph, {v: tuple(reversed(es)) for v, es in self.rotation.items()})
 
@@ -169,19 +113,22 @@ class RotationSystem:
         return f"RotationSystem({self.graph!r})"
 
 
-def face_with_vertices(r: RotationSystem, wanted: Iterable[int]) -> Face | None:
+def _first_face_walk(r: RotationSystem, holds: Callable[[tuple[Dart, ...]], bool]) -> tuple[Dart, ...] | None:
+    """The first face walk of r that holds, or None; NotPlanarEmbedding if r fails the Euler check."""
+    if not r.is_planar_embedding():
+        raise NotPlanarEmbedding("rotation system is not a planar embedding")
+    return next((w for w in r.face_walks() if holds(w)), None)
+
+
+def face_with_vertices(r: RotationSystem, wanted: Iterable[int]) -> tuple[Dart, ...] | None:
+    """The first face walk of r through every wanted vertex, as in `_first_face_walk`."""
     want = set(wanted)
-    for face in r.faces():
-        if want <= face.vertices:
-            return face
-    return None
+    return _first_face_walk(r, lambda w: want <= {v for v, _ in w})
 
 
-def face_with_vertex_and_edge(r: RotationSystem, v: int, e: int) -> Face | None:
-    for face in r.faces():
-        if face.contains_vertex(v) and face.contains_edge(e):
-            return face
-    return None
+def face_with_vertex_and_edge(r: RotationSystem, v: int, e: int) -> tuple[Dart, ...] | None:
+    """The first face walk of r through vertex v and edge e, as in `_first_face_walk`."""
+    return _first_face_walk(r, lambda w: any(x == v for x, _ in w) and any(y == e for _, y in w))
 
 
 def cycle_face_walk(r: RotationSystem, c: PathInGraph) -> tuple[Dart, ...] | None:
@@ -356,10 +303,6 @@ class PlanarityResult:
         self._nx_embedding = nx_embedding
 
     @cached_property
-    def _simple(self) -> Multigraph:
-        return simplify(self._graph)[0]
-
-    @cached_property
     def embedding(self) -> RotationSystem | None:
         """networkx's embedding re-expanded over g's parallel edges, Euler-checked."""
         if not self.planar:
@@ -382,7 +325,7 @@ class PlanarityResult:
     def kuratowski(self) -> KuratowskiCert | None:
         if self.planar:
             return None
-        cert = _extract_kuratowski(self._simple)
+        cert = _extract_kuratowski(simplify(self._graph)[0])
         cert.validate(self._graph)
         return cert
 
@@ -412,37 +355,35 @@ def test_planarity(g: Multigraph) -> PlanarityResult:
 def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
     """Deterministic deletion minimization down to a Kuratowski subdivision.
 
-    A subdivision uses all of a degree-2 chain of gs or none of it, so chains
-    are dropped whole, tried in order of their least edge id: this keeps the
-    edges that dropping single edges in id order would keep. Each trial is one
-    left-right test on the smoothed graph, one edge per chain still kept, with
-    parallel edges merged since they cannot change planarity.
+    A subdivision uses all of a walk of gs's kernel or none of it, so the
+    kernel's edges are dropped whole, tried in id order: this keeps the edges
+    that dropping single edges of gs in id order would keep. Each trial is one
+    left-right test on the kernel's edges still kept, with parallel edges
+    merged since they cannot change planarity.
 
-    The kept chains always hold a subdivision K. Once they are connected and
-    every chain end has degree 2 in them but for five 4s or six 3s, K's branch
-    vertices are those and use every edge there, so K is all the kept chains.
+    The kept edges always hold a subdivision K. Once they are connected and
+    every end has degree 2 in them but for five 4s or six 3s, K's branch
+    vertices are those and use every edge there, so K is all the kept edges.
     A subdivision is minimally nonplanar: every later trial would keep its
-    chain, so the greedy stops untested.
+    edge, so the greedy stops untested.
     """
-    chains = degree2_chains(gs)
-    ends = [(c.vertices[0], c.vertices[-1]) for c in chains]
-    # a chain that closes on itself is in no subdivision: dropped untested
-    kept = {i for i, (a, b) in enumerate(ends) if a != b}
-    degree = Counter(v for i in kept for v in ends[i])
+    k, walks = kernel(gs)
+    ends = dict(k.edge_items())
+    kept = set(ends)
+    degree = Counter(v for e in kept for v in ends[e])
     tally = Counter(min(d, 5) for d in degree.values())  # 5 stands for any more
-    for i in sorted(kept):
+    for e in sorted(kept):
         if tally[1] == tally[5] == 0 and (tally[3], tally[4]) in ((6, 0), (0, 5)):
-            if nx.is_connected(nx.Graph([ends[j] for j in kept])):
+            if nx.is_connected(nx.Graph([ends[x] for x in kept])):
                 break
-        trial = nx.Graph([ends[j] for j in kept if j != i])
+        trial = nx.Graph([ends[x] for x in kept if x != e])
         if not nx.check_planarity(trial, counterexample=False)[0]:
-            kept.discard(i)
-            for v in ends[i]:
+            kept.discard(e)
+            for v in ends[e]:
                 tally[min(degree[v], 5)] -= 1
                 degree[v] -= 1
                 tally[min(degree[v], 5)] += 1
-    edges = {e for i in kept for e in chains[i].edges}
-    return parse_subdivision(gs, edges)
+    return parse_subdivision(gs, {x for e in kept for x in walks[e].edges})
 
 
 def parse_subdivision(host: Multigraph, edge_ids: Iterable[int]) -> KuratowskiCert:

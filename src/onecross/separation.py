@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InconsistencyDetected
 from .graph import (
     Multigraph,
     EdgePair,
@@ -61,16 +62,15 @@ def separated_by_cycles(g: Multigraph, p: EdgePair, budget: int | None = None) -
         return NOT_SEPARATED
 
     counter = _StepBudget(budget)
+    a, b = g.endpoints(p.f)
     for cycle_e in cycles_through_edge(g, p.e, forbidden_vertices=f_ends, budget=counter):
-        remaining = [x for x in g.edge_ids() if not (set(g.endpoints(x)) & cycle_e.vertex_set())]
-        if p.f not in remaining:
+        # f's ends are forbidden to cycle_e, so f is among the edges off it
+        h = restrict(g, [x for x in g.edge_ids() if not (set(g.endpoints(x)) & cycle_e.vertex_set())])
+        path = next(paths_by_length(h, b, a, forbidden_edges=frozenset({p.f}), budget=counter), None)
+        if path is None:
             continue
-        h = restrict(g, remaining)
-        a, b = g.endpoints(p.f)
-        for path in paths_by_length(h, b, a, forbidden_edges=frozenset({p.f}), budget=counter):
-            cycle_f = PathInGraph((a,) + path.vertices, (p.f,) + path.edges)
-            witness = SeparationWitness(cycle_e, cycle_f)
-            if not verify_separation_witness(g, p, witness):
-                continue
-            return SeparationVerdict(True, witness)
+        witness = SeparationWitness(cycle_e, PathInGraph((a,) + path.vertices, (p.f,) + path.edges))
+        if not verify_separation_witness(g, p, witness):
+            raise InconsistencyDetected(f"separation witness for ({p.e},{p.f}) fails its own check")
+        return SeparationVerdict(True, witness)
     return NOT_SEPARATED

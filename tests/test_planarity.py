@@ -15,6 +15,7 @@ from onecross.planarity import (
     embedding_delete_edges,
     embedding_smooth_vertex,
     embedding_subdivide_edge,
+    _extract_kuratowski,
     test_planarity as run_planarity,
 )
 from helpers import (
@@ -65,8 +66,9 @@ def test_equal_graph_gets_its_own_test(lr_tests):
 def test_k4_planar_four_faces(k4):
     res = run_planarity(k4)
     assert res.planar
-    assert len(res.embedding.faces()) == 4
-    assert all(len(f.walks[0]) == 3 for f in res.embedding.faces())
+    walks = res.embedding.face_walks()
+    assert len(walks) == 4
+    assert all(len(w) == 3 for w in walks)
 
 
 def test_v8_nonplanar_k33_certificate(v8):
@@ -110,15 +112,18 @@ def test_disconnected_graphs():
     g = build([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     res = run_planarity(g)
     assert res.planar
-    outer = res.embedding.faces()[0]
-    assert len(outer.walks) == 2  # both components touch the shared outer face
+    # two walks per triangle, one each side: Euler holds per component
+    assert len(res.embedding.face_walks()) == 4
+    assert res.embedding.is_planar_embedding()
 
 
 def test_empty_and_edgeless():
     assert run_planarity(build([], vertices=[])).planar
     res = run_planarity(build([], vertices=[0, 1, 2]))
     assert res.planar
-    assert len(res.embedding.faces()) == 1
+    # an isolated vertex's one face has no boundary walk
+    assert res.embedding.face_walks() == ()
+    assert res.embedding.is_planar_embedding()
 
 
 # ---------------------------------------------------------------------------
@@ -128,34 +133,34 @@ def test_empty_and_edgeless():
 
 def test_triangle_two_faces():
     g = families.cycle_graph(3)
-    fs = run_planarity(g).embedding.faces()
-    assert len(fs) == 2
-    assert all(f.edges == frozenset({0, 1, 2}) for f in fs)
+    walks = run_planarity(g).embedding.face_walks()
+    assert len(walks) == 2
+    assert all({e for _, e in w} == {0, 1, 2} for w in walks)
 
 
 def test_cube_six_quadrilateral_faces(q3):
-    fs = run_planarity(q3).embedding.faces()
-    assert len(fs) == 6
-    assert all(len(f.walks[0]) == 4 for f in fs)
+    walks = run_planarity(q3).embedding.face_walks()
+    assert len(walks) == 6
+    assert all(len(w) == 4 for w in walks)
 
 
 def test_faces_reject_nonplanar_rotation():
     # K5 with an arbitrary rotation cannot be planar
-    from onecross.planarity import RotationSystem
+    from onecross.planarity import RotationSystem, face_with_vertices
 
     k5 = families.complete_graph(5)
     rot = {v: tuple(k5.edges_at(v)) for v in k5.vertices}
     rs = RotationSystem(k5, rot)
     assert not rs.is_planar_embedding()
     with pytest.raises(NotPlanarEmbedding):
-        rs.faces()
+        face_with_vertices(rs, [0])
 
 
 def test_every_dart_on_exactly_one_face(v8):
     g = delete_edges(v8, [4])
     emb = run_planarity(g).embedding
     darts = [(v, e) for v in g.vertices for e in g.edges_at(v)]
-    seen = [d for f in emb.faces() for w in f.walks for d in w]
+    seen = [d for w in emb.face_walks() for d in w]
     assert sorted(seen) == sorted(darts)
 
 
@@ -184,7 +189,7 @@ def test_cycle_graph_unique_embedding():
     g = families.cycle_graph(6)
     c = cycle_from_vertices(g, list(range(6)))
     emb = embed_with_outer_cycle(g, c)
-    assert emb is not None and len(emb.faces()) == 2
+    assert emb is not None and len(emb.face_walks()) == 2
 
 
 def test_outer_cycle_with_confined_bridges():
@@ -353,14 +358,13 @@ def test_subdivide_smooth_roundtrip(q3):
 
 def test_add_edge_in_face_splits_face(k4):
     emb = run_planarity(k4).embedding
-    face = emb.faces()[0]
-    walk = face.walks[0]
+    walk = emb.face_walks()[0]
     p, q = walk[0][0], walk[1][0]
-    before = len(emb.faces())
+    before = len(emb.face_walks())
     new_id = k4.max_edge_id() + 1
     out = embedding_add_edge_in_face(emb, walk, p, q, new_id)
     assert out.is_planar_embedding()
-    assert len(out.faces()) == before + 1
+    assert len(out.face_walks()) == before + 1
 
 
 def test_delete_edges_from_embedding(v8):
@@ -377,7 +381,7 @@ def test_planar_random_graphs_roundtrip_faces():
         g = random_planar_graph(rng, rng.randint(4, 9))
         res = run_planarity(g)
         assert res.planar
-        fs = res.embedding.faces()
+        fs = res.embedding.face_walks()
         comps = 1
         assert len(fs) == g.m - g.n + 1 + comps
 
@@ -408,7 +412,7 @@ def test_outer_cycle_stacked_confined_bridges():
     c = cycle_from_vertices(g, [0, 1, 2, 3])
     emb = embed_with_outer_cycle(g, c)
     assert emb is not None and cycle_face_walk(emb, c) is not None
-    assert emb.graph == g and len(emb.faces()) == 6
+    assert emb.graph == g and len(emb.face_walks()) == 6
 
 
 def test_exactly_one_certificate_arm():
@@ -456,6 +460,23 @@ def test_chain_extraction_counts_one_test_per_chain(lr_tests):
     lr_tests.clear()
     run_planarity(chorded).kuratowski.validate(chorded)
     assert len(lr_tests) == 13
+
+
+def test_chain_extraction_runs_on_the_kernel(lr_tests):
+    # K5 with each edge a path of 3 edges: branch 0-1 runs through 5 and 6,
+    # branch 0-2 through 7 and 8. A triangle hangs at 5 and a 2-edge path at 7.
+    # The kernel drops the triangle and smooths branch 0-1 whole again, so it
+    # takes one trial, where its two chains at 5 took two
+    base = subdivided(families.complete_graph(5), [3] * 10)
+    edges = [ends for _, ends in base.edge_items()]
+    g = build(edges + [(5, 25), (25, 26), (26, 5), (7, 27), (27, 28)])
+    assert _extract_kuratowski(g) == edge_by_edge_kuratowski(g)
+    assert len(lr_tests) == 12
+    # with the triangle alone the kept edges are one subdivision from the start
+    lr_tests.clear()
+    g = build(edges + [(5, 25), (25, 26), (26, 5)])
+    assert _extract_kuratowski(g) == edge_by_edge_kuratowski(g)
+    assert len(lr_tests) == 0
 
 
 @pytest.mark.parametrize(

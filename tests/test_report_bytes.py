@@ -7,8 +7,9 @@ to any embedding or drawing in a report) shows here. The two multigraphs
 guard the order of each parallel class in the rotations.
 
 One more digest pins `decide --verify` on every decide input of the
-benchmark's `expected.json`, read as the benchmark reads it, and one its
-report on K6 with each edge a path of 60 edges.
+benchmark's `expected.json`, read as the benchmark reads it, one its
+report on K6 with each edge a path of 60 edges, and one `pairs --verify` on
+every sweep input of `expected.json`.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def test_every_input_is_pinned():
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 # sha256 over each input's exit code and stdout, in the order of _decide_inputs
 DECIDE_INPUTS_DIGEST = "240298204497173c955aaa252c2a05b36713bb7fe85455a5581187b555633f58"
+# the same over the sweep's atlas then random pool, as listed (one graph twice)
+SWEEP_INPUTS_DIGEST = "626a176a0115aa608b6eeeab3996f1e7421fad935337a92ee18604e947833c5a"
 
 
 def _decide_inputs() -> list[str]:
@@ -121,3 +124,15 @@ def test_decide_bytes_on_a_long_subdivision_of_k6(tmp_path, capsys):
     assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == (
         2, 5_400_202, "5d9c1f1dfc13428138d533883875ad810c53f7beef87cb0bffeeda70555e8a3b"
     )
+
+
+def test_pairs_bytes_on_the_sweep_inputs(tmp_path, capsys):
+    data = json.loads((BENCHMARKS / "expected.json").read_text(encoding="utf-8"))["sweep"]
+    texts = [entry["graph6"] + "\n" for entry in data["atlas"] + data["random"]]
+    digest = hashlib.sha256()
+    path = tmp_path / "g.txt"
+    for text in texts:
+        path.write_text(text)
+        code = main(["pairs", str(path), "--verify"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert (len(texts), digest.hexdigest()) == (269, SWEEP_INPUTS_DIGEST)

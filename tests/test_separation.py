@@ -6,7 +6,7 @@ import pytest
 
 from onecross import families
 from onecross.characterize import oracle_crossing_pair, vertex_disjoint_pairs
-from onecross.errors import SearchBudgetExceeded
+from onecross.errors import InconsistencyDetected, SearchBudgetExceeded
 from onecross.graph import build, extend, make_pair
 from onecross.planarity import test_planarity as run_planarity
 from onecross.separation import separated_by_cycles, verify_separation_witness
@@ -49,6 +49,15 @@ def test_witness_verification_rejects_overlap(siran):
 
     broken = SeparationWitness(w.cycle_e, w.cycle_e)
     assert not verify_separation_witness(siran, p, broken)
+
+
+def test_witness_failing_its_own_check_is_an_inconsistency(siran, monkeypatch):
+    # a found witness that fails the re-check is a fault, not "not separated"
+    import onecross.separation as separation
+
+    monkeypatch.setattr(separation, "verify_separation_witness", lambda g, p, w: False)
+    with pytest.raises(InconsistencyDetected):
+        separated_by_cycles(siran, make_pair(_edge("u", "x"), _edge("w", "z")))
 
 
 def test_monotone_under_supergraphs(siran):
