@@ -40,7 +40,6 @@ from .graph import (
     make_pair,
 )
 from .kuratowski import (
-    BranchStructure,
     branch_structure,
     enumerate_kuratowski,
     is_crossing_pair_in_kuratowski,

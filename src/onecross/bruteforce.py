@@ -32,7 +32,7 @@ def rotation_count(g: Multigraph) -> int:
 
 def _count_prune_nonplanar(g: Multigraph) -> bool:
     """True when the simple reduction violates m <= 3n-6 (hence g nonplanar)."""
-    gs, _ = simplify(g)
+    gs = simplify(g)
     return gs.n >= 3 and gs.m > 3 * gs.n - 6
 
 

@@ -94,12 +94,6 @@ def parse_edge_list(text: str) -> tuple[Multigraph, list[str]]:
     return build(edges), labels
 
 
-def write_edge_list(g: Multigraph, labels: list[str] | None = None) -> str:
-    """One `u v` line per edge; isolated vertices are not representable."""
-    name = (lambda v: labels[v]) if labels else str
-    return "".join(f"{name(u)} {name(v)}\n" for _, (u, v) in g.edge_items())
-
-
 def detect_format(text: str) -> str:
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):

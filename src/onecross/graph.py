@@ -180,13 +180,9 @@ def subdivide_edge(g: Multigraph, e: int) -> tuple[Multigraph, int, tuple[int, i
     return g3, m, (halves[0], halves[1])
 
 
-def simplify(g: Multigraph) -> tuple[Multigraph, dict[int, int]]:
-    """Drop parallel duplicates, keeping the lowest id of each class.
-
-    Returns the simple graph and a map edge id -> representative id.
-    """
-    to_rep = {e: es[0] for es in parallel_classes(g).values() for e in es}
-    return restrict(g, set(to_rep.values()), g.vertices), to_rep
+def simplify(g: Multigraph) -> Multigraph:
+    """Drop parallel duplicates, keeping the lowest id of each class."""
+    return restrict(g, [es[0] for es in parallel_classes(g).values()], g.vertices)
 
 
 def parallel_classes(g: Multigraph) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -216,10 +212,6 @@ def connected_components(g: Multigraph) -> list[frozenset[int]]:
         seen |= comp
         comps.append(frozenset(comp))
     return comps
-
-
-def is_connected(g: Multigraph) -> bool:
-    return len(connected_components(g)) <= 1
 
 
 def degree2_chains(g: Multigraph) -> list[PathInGraph]:

@@ -17,41 +17,20 @@ from .planarity import KuratowskiCert
 ENUMERATION_VERTEX_GATE = 12
 
 
-class BranchStructure:
-    """Edge -> branch index map plus branch adjacency for one certificate."""
-
-    __slots__ = ("cert", "branch_of", "_ends")
-
-    def __init__(self, cert: KuratowskiCert, branch_of: dict[int, int]) -> None:
-        self.cert = cert
-        self.branch_of = branch_of
-        self._ends = [frozenset((b.vertices[0], b.vertices[-1])) for b in cert.branches]
-
-    def branch_of_edge(self, e: int) -> int:
-        try:
-            return self.branch_of[e]
-        except KeyError:
-            raise EdgeNotInSubdivision(e) from None
-
-    def branches_adjacent(self, i: int, j: int) -> bool:
-        return bool(self._ends[i] & self._ends[j])
+def branch_structure(cert: KuratowskiCert) -> dict[int, frozenset[int]]:
+    """Each edge of the subdivision -> the two ends of its branch."""
+    return {e: frozenset((br.vertices[0], br.vertices[-1])) for br in cert.branches for e in br.edges}
 
 
-def branch_structure(cert: KuratowskiCert) -> BranchStructure:
-    branch_of: dict[int, int] = {}
-    for i, branch in enumerate(cert.branches):
-        for e in branch.edges:
-            branch_of[e] = i
-    return BranchStructure(cert, branch_of)
+def is_crossing_pair_in_kuratowski(bs: dict[int, frozenset[int]], e: int, f: int) -> bool:
+    """True iff e and f lie in distinct, non-adjacent branches: their branches share no end.
 
-
-def is_crossing_pair_in_kuratowski(bs: BranchStructure, e: int, f: int) -> bool:
-    """True iff e and f lie in distinct, non-adjacent branches of the subdivision."""
-    bi = bs.branch_of_edge(e)
-    bj = bs.branch_of_edge(f)
-    if bi == bj:
-        return False
-    return not bs.branches_adjacent(bi, bj)
+    Edges of one branch have the same ends, and adjacent branches share one.
+    """
+    try:
+        return not bs[e] & bs[f]
+    except KeyError as exc:
+        raise EdgeNotInSubdivision(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +60,7 @@ def _enumerate_all(g: Multigraph) -> Iterator[KuratowskiCert]:
     for combo in combinations(deg4, 5):
         pairs = [(combo[i], combo[j]) for i in range(5) for j in range(i + 1, 5)]
         for system in _path_systems(g, pairs, frozenset(combo)):
-            yield _cert_from_system("K5", combo, None, system)
+            yield KuratowskiCert(system)
 
     for combo in combinations(deg3, 6):
         rest = combo[1:]
@@ -90,17 +69,7 @@ def _enumerate_all(g: Multigraph) -> Iterator[KuratowskiCert]:
             part_b = tuple(v for v in combo if v not in part_a)
             pairs = [(a, b) for a in part_a for b in part_b]
             for system in _path_systems(g, pairs, frozenset(combo)):
-                yield _cert_from_system("K33", combo, (part_a, part_b), system)
-
-
-def _cert_from_system(
-    kind: str,
-    branch_vertices: tuple[int, ...],
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None,
-    system: tuple[PathInGraph, ...],
-) -> KuratowskiCert:
-    edges = frozenset(e for p in system for e in p.edges)
-    return KuratowskiCert(kind, tuple(sorted(branch_vertices)), parts, system, edges)
+                yield KuratowskiCert(system)
 
 
 def _path_systems(

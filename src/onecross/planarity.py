@@ -227,62 +227,54 @@ def embedding_add_edge_in_face(
 
 @dataclass(frozen=True)
 class KuratowskiCert:
-    """A subdivision of K5 or K3,3: branch vertices plus branch paths."""
+    """A subdivision of K5 or K3,3, given by its branch paths; the rest is read off them."""
 
-    kind: str  # "K5" | "K33"
-    branch_vertices: tuple[int, ...]
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None
     branches: tuple[PathInGraph, ...]
-    edges: frozenset[int]
+
+    @cached_property
+    def edges(self) -> frozenset[int]:
+        return frozenset(e for br in self.branches for e in br.edges)
+
+    @cached_property
+    def branch_vertices(self) -> tuple[int, ...]:
+        return tuple(sorted({v for br in self.branches for v in (br.vertices[0], br.vertices[-1])}))
+
+    @cached_property
+    def kind(self) -> str:
+        return "K5" if len(self.branch_vertices) == 5 else "K33"
+
+    @cached_property
+    def parts(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """None for K5; for K3,3, the least branch vertex with the two it has no branch to, then the rest."""
+        if self.kind == "K5":
+            return None
+        first = self.branch_vertices[0]
+        joined = {br.vertices[-1] if br.vertices[0] == first else br.vertices[0]
+                  for br in self.branches if first in (br.vertices[0], br.vertices[-1])}
+        return (tuple(v for v in self.branch_vertices if v not in joined),
+                tuple(v for v in self.branch_vertices if v in joined))
 
     def validate(self, g: Multigraph) -> None:
-        expected_branches = 10 if self.kind == "K5" else 9
-        expected_degree = 4 if self.kind == "K5" else 3
-        if self.kind not in ("K5", "K33"):
-            raise ValueError(f"unknown kind {self.kind}")
-        if len(self.branches) != expected_branches:
-            raise ValueError("wrong number of branches")
-        if len(self.branch_vertices) != (5 if self.kind == "K5" else 6):
-            raise ValueError("wrong number of branch vertices")
-
-        bset = set(self.branch_vertices)
-        all_edges: set[int] = set()
-        internal_seen: set[int] = set()
-        degree: dict[int, int] = {}
-        end_pairs = []
-        for br in self.branches:
-            br.validate(g)
-            if br.vertices[0] not in bset or br.vertices[-1] not in bset:
-                raise ValueError("branch does not join branch vertices")
-            interior = br.vertices[1:-1]
-            if bset & set(interior):
-                raise ValueError("branch vertex interior to a branch")
-            if internal_seen & set(interior):
-                raise ValueError("branches share an internal vertex")
-            internal_seen |= set(interior)
-            if all_edges & br.edge_set():
-                raise ValueError("branches share an edge")
-            all_edges |= br.edge_set()
-            degree[br.vertices[0]] = degree.get(br.vertices[0], 0) + 1
-            degree[br.vertices[-1]] = degree.get(br.vertices[-1], 0) + 1
-            end_pairs.append(frozenset((br.vertices[0], br.vertices[-1])))
-        if all_edges != set(self.edges):
-            raise ValueError("edge set does not match branch union")
-        if any(degree.get(v, 0) != expected_degree for v in bset):
-            raise ValueError("branch vertex of wrong degree")
-
-        # contracting each branch must give exactly K5 / K3,3
-        if self.kind == "K5":
-            want = {frozenset(p) for p in combinations(bset, 2)}
+        """InconsistencyDetected unless the branches are a subdivision of K5 or K3,3 in g."""
+        bv = self.branch_vertices
+        if len(bv) == 5:
+            want = {frozenset(p) for p in combinations(bv, 2)}
+        elif len(bv) == 6 and len(self.parts[0]) == 3:
+            want = {frozenset((a, b)) for a in self.parts[0] for b in self.parts[1]}
         else:
-            if self.parts is None:
-                raise ValueError("K33 certificate must carry its parts")
-            part_a, part_b = self.parts
-            if set(part_a) | set(part_b) != bset or set(part_a) & set(part_b):
-                raise ValueError("parts do not partition the branch vertices")
-            want = {frozenset((a, b)) for a in part_a for b in part_b}
-        if set(end_pairs) != want or len(end_pairs) != len(want):
-            raise ValueError("branch end pairs do not contract to the expected graph")
+            raise InconsistencyDetected(f"{len(bv)} branch vertices do not make K5 or K3,3")
+        if Counter(frozenset((br.vertices[0], br.vertices[-1])) for br in self.branches) != Counter(want):
+            raise InconsistencyDetected(f"branch ends are not the pairs of {self.kind}, each once")
+        seen = set(bv)
+        for br in self.branches:
+            name = f"branch {br.vertices[0]}-{br.vertices[-1]}"
+            try:
+                br.validate(g)
+            except ValueError as exc:
+                raise InconsistencyDetected(f"{name} is not a path of the graph: {exc}") from exc
+            if not seen.isdisjoint(br.vertices[1:-1]):
+                raise InconsistencyDetected(f"{name} passes through a branch vertex or another branch")
+            seen.update(br.vertices[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +317,7 @@ class PlanarityResult:
     def kuratowski(self) -> KuratowskiCert | None:
         if self.planar:
             return None
-        cert = _extract_kuratowski(simplify(self._graph)[0])
+        cert = _extract_kuratowski(simplify(self._graph))
         cert.validate(self._graph)
         return cert
 
@@ -387,33 +379,12 @@ def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
 
 
 def parse_subdivision(host: Multigraph, edge_ids: Iterable[int]) -> KuratowskiCert:
-    """Parse an edge set known to be an edge-minimal Kuratowski subdivision.
+    """Parse an edge set known to be an edge-minimal Kuratowski subdivision of host.
 
-    Its branches are the degree-2 chains of the subgraph and its branch
-    vertices their ends. For K3,3, the least branch vertex's part is it and
-    the two it has no branch to.
+    Its branches are the degree-2 chains of the subgraph, and `validate`
+    refuses any edge set that is not a subdivision.
     """
-    ids = set(edge_ids)
-    sub = restrict(host, ids)
-    branches = degree2_chains(sub)
-    ends = [(br.vertices[0], br.vertices[-1]) for br in branches]
-    branch_vertices = tuple(sorted({v for pair in ends for v in pair}))
-    degrees = {sub.degree(v) for v in branch_vertices}
-    if degrees == {4} and len(branch_vertices) == 5:
-        kind = "K5"
-    elif degrees == {3} and len(branch_vertices) == 6:
-        kind = "K33"
-    else:
-        raise InconsistencyDetected(f"kernel is not a Kuratowski subdivision: degrees {sorted(degrees)}")
-
-    parts = None
-    if kind == "K33":
-        first = branch_vertices[0]
-        joined = {b if a == first else a for a, b in ends if first in (a, b)}
-        parts = (tuple(v for v in branch_vertices if v not in joined),
-                 tuple(v for v in branch_vertices if v in joined))
-
-    cert = KuratowskiCert(kind, branch_vertices, parts, tuple(branches), frozenset(ids))
+    cert = KuratowskiCert(tuple(degree2_chains(restrict(host, edge_ids))))
     cert.validate(host)
     return cert
 

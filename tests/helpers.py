@@ -117,6 +117,12 @@ def edge_by_edge_kuratowski(gs: Multigraph) -> KuratowskiCert:
     return parse_subdivision(restrict(gs, current), current)
 
 
+def write_edge_list(g: Multigraph, labels: list[str] | None = None) -> str:
+    """One `u v` line per edge; isolated vertices are not representable."""
+    name = (lambda v: labels[v]) if labels else str
+    return "".join(f"{name(u)} {name(v)}\n" for _, (u, v) in g.edge_items())
+
+
 def subdivided(g: Multigraph, lengths: Sequence[int]) -> Multigraph:
     """g with edge i replaced by a path of lengths[i] edges, in edge-id order."""
     edges: list[tuple[int, int]] = []

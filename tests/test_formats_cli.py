@@ -15,10 +15,10 @@ from onecross.formats import (
     parse_edge_list,
     parse_graph6,
     parse_input,
-    write_edge_list,
     write_graph6,
 )
-from onecross.graph import build
+from onecross.graph import PathInGraph, build, subdivide_edge
+from helpers import write_edge_list
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,28 @@ def test_cli_corpus_timing_names_the_slowest_graph(monkeypatch, capsys):
 def test_cli_pairs_verify_recheck(v8_file, capsys):
     assert main(["pairs", v8_file, "--verify"]) == 1
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_cli_pairs_verify_refuses_a_broken_certificate(tmp_path, monkeypatch, capsys):
+    # walking the two-edge branch backwards keeps its ends and edges, so the
+    # three conditions still agree; --verify's re-check must refuse it
+    import dataclasses
+
+    import onecross.characterize as characterize
+    from onecross.kuratowski import enumerate_kuratowski
+
+    def backwards(g):
+        for cert in enumerate_kuratowski(g):
+            yield dataclasses.replace(cert, branches=tuple(
+                PathInGraph(b.vertices[::-1], b.edges) if b.length == 2 else b for b in cert.branches))
+
+    monkeypatch.setattr(characterize, "enumerate_kuratowski", backwards)
+    path = tmp_path / "k33s.g6"
+    path.write_text(write_graph6(subdivide_edge(families.complete_bipartite(3, 3), 0)[0]) + "\n")
+    assert main(["pairs", str(path), "--verify"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("INCONSISTENCY: ")
 
 
 def test_cli_reports_a_condition_disagreement(tmp_path, monkeypatch, capsys):

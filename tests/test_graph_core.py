@@ -208,9 +208,9 @@ def test_degree2_chains():
 
 def test_simplify_keeps_lowest_ids():
     g = build([(0, 1), (1, 2), (0, 1), (2, 0)])
-    gs, to_rep = simplify(g)
-    assert gs.m == 3
-    assert to_rep[2] == 0 and to_rep[0] == 0
+    gs = simplify(g)
+    assert gs.edge_ids() == (0, 1, 3)
+    assert gs.vertices == g.vertices
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def test_k5_ten_single_edge_branches(k5):
     bs = branch_structure(cert)
     assert len(cert.branches) == 10
     assert all(b.length == 1 for b in cert.branches)
-    assert sorted(bs.branch_of.values()) == sorted(range(10))
+    assert len(set(bs.values())) == 10
 
 
 def test_v8_minus_chord_nine_branches(v8):
@@ -37,7 +37,7 @@ def test_v8_minus_chord_nine_branches(v8):
     assert set(cert.edges) == set(g.edge_ids())
     assert len(cert.branches) == 9
     bs = branch_structure(cert)
-    assert all(bs.branch_of_edge(e) is not None for e in g.edge_ids())
+    assert set(bs) == set(g.edge_ids())
 
 
 def test_subdivided_k33_branch_lengths(k33):
@@ -155,10 +155,10 @@ def test_k6_count_frozen_and_cross_checked(k6):
 def test_k6_count_independent_subset_scan(k6):
     def is_subdivision(ids):
         sub = restrict(k6, ids)
-        from onecross.graph import is_connected
+        from onecross.graph import connected_components
 
         deg = {v: sub.degree(v) for v in sub.vertices}
-        if any(d < 2 for d in deg.values()) or not is_connected(sub):
+        if any(d < 2 for d in deg.values()) or len(connected_components(sub)) > 1:
             return False
         bvs = [v for v, d in deg.items() if d != 2]
         ds = {deg[v] for v in bvs}
@@ -211,7 +211,8 @@ def test_every_cert_is_nonplanar_and_distinct(v8, k6):
 
 def test_parse_subdivision_reads_back_every_enumerated_subdivision():
     # parsing walks the chains of the edge set alone; enumeration chose the
-    # branch vertices, parts and paths first: both must name the same structure
+    # branch vertices and parts first and joined them by paths: both must give
+    # the same branches, and so the same branch vertices and parts
     count = 0
     for g in families.atlas_connected(7):
         for cert in enumerate_kuratowski(g):

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from onecross import bruteforce, families
 from onecross.bruteforce import all_planar_rotations, exhaustive_planar, rotation_count
-from onecross.errors import NotPlanarEmbedding
-from onecross.graph import Multigraph, build, delete_edges, extend, restrict, simplify
+from onecross.errors import InconsistencyDetected, NotPlanarEmbedding
+from onecross.graph import Multigraph, PathInGraph, build, delete_edges, extend, restrict, simplify
 from onecross.planarity import (
+    KuratowskiCert,
     cycle_face_walk,
     embed_with_outer_cycle,
     embedding_add_edge_in_face,
@@ -85,6 +87,50 @@ def test_k5_certificate_is_k5(k5):
     assert cert.kind == "K5"
     assert set(cert.edges) == set(k5.edge_ids())
     assert all(b.length == 1 for b in cert.branches)
+
+
+def _cert(edges, walks=(), flip=False):
+    """The graph on `edges` and a certificate on it: a branch along each vertex
+    walk, each step on the least edge not yet taken, then one branch per edge
+    left. With `flip`, the first walk lists its vertices against its edges."""
+    g = build(edges)
+    free = set(g.edge_ids())
+    branches = []
+    for vs in walks:
+        es = []
+        for a, b in zip(vs, vs[1:]):
+            es.append(min(free.intersection(g.edges_between(a, b))))
+            free.remove(es[-1])
+        branches.append(PathInGraph(vs[::-1] if flip and not branches else vs, tuple(es)))
+    branches += [PathInGraph(g.endpoints(e), (e,)) for e in sorted(free)]
+    return g, KuratowskiCert(tuple(branches))
+
+
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+K5 = list(combinations(range(5), 2))
+
+
+@pytest.mark.parametrize(
+    "edges, walks, flip, refusal",
+    [
+        ([e for e in K33 if e != (0, 3)] + [(0, 6), (6, 3)], [(0, 6, 3)], True, "not a path"),
+        ([e for e in K33 if e != (1, 4)], [], False, "not the pairs of K33"),
+        ([e for e in K33 if e not in ((0, 3), (1, 4))] + [(0, 6), (6, 3), (1, 6), (6, 4)],
+         [(0, 6, 3), (1, 6, 4)], False, "passes through"),
+        ([e for e in K5 if e != (0, 3)] + [(0, 4), (4, 3)], [(0, 4, 3)], False, "passes through"),
+        (K33 + [(0, 6)], [], False, "7 branch vertices"),
+        ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)], [], False,
+         "not the pairs of K33"),
+        ([(a, b) for a in range(2) for b in range(2, 6)], [], False, "6 branch vertices"),
+        ([(a, b) for a in range(3) for b in range(3, 7)], [], False, "7 branch vertices"),
+    ],
+    ids=["reversed-two-edge-branch", "dropped-branch", "two-branches-through-one-vertex",
+         "branch-through-a-branch-vertex", "pendant-tenth-branch", "prism", "k24", "k34"],
+)
+def test_validate_refuses_what_is_not_a_subdivision(edges, walks, flip, refusal):
+    g, cert = _cert(edges, walks, flip)
+    with pytest.raises(InconsistencyDetected, match=refusal):
+        cert.validate(g)
 
 
 def test_certificate_self_nonplanar(v8, k5, k34):
@@ -334,7 +380,7 @@ def test_decision_equals_simplification_decision():
     for g in [families.v8(), families.complete_graph(5), families.cube_graph()]:
         extra = [g.endpoints(e) for e in rng.sample(g.edge_ids(), 3)]
         doubled, _ = extend(g, [], extra)
-        gs, _ = simplify(doubled)
+        gs = simplify(doubled)
         assert run_planarity(doubled).planar == run_planarity(gs).planar
 
 
@@ -441,7 +487,7 @@ def test_chain_extraction_matches_edge_by_edge():
         res = run_planarity(g)
         if res.planar:
             continue
-        assert res.kuratowski == edge_by_edge_kuratowski(simplify(g)[0])
+        assert res.kuratowski == edge_by_edge_kuratowski(simplify(g))
         checked += 1
     assert checked >= 221 + 6 + 200
 
@@ -488,4 +534,4 @@ def test_chain_extraction_stops_only_when_connected(other):
     # not connected, so the greedy must go on and drop the triangle
     k4 = [ends for _, ends in families.complete_graph(4).edge_items()]
     g = build(k4 + [(a + 4, b + 4) for _, (a, b) in other.edge_items()])
-    assert run_planarity(g).kuratowski == edge_by_edge_kuratowski(simplify(g)[0])
+    assert run_planarity(g).kuratowski == edge_by_edge_kuratowski(simplify(g))

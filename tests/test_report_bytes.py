@@ -24,8 +24,7 @@ import pytest
 
 from onecross import families
 from onecross.cli import main
-from onecross.formats import write_edge_list
-from helpers import subdivided
+from helpers import subdivided, write_edge_list
 
 INPUTS = {
     "v8": write_edge_list(families.v8()),
