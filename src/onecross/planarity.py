@@ -315,11 +315,11 @@ class PlanarityResult:
 
     @cached_property
     def kuratowski(self) -> KuratowskiCert | None:
+        """Extracted from `simplify(g)`, which keeps g's edge ids and ends, so
+        the validation there holds on g too."""
         if self.planar:
             return None
-        cert = _extract_kuratowski(simplify(self._graph))
-        cert.validate(self._graph)
-        return cert
+        return _extract_kuratowski(simplify(self._graph))
 
 
 def _to_nx(g: Multigraph) -> nx.Graph:
@@ -357,7 +357,8 @@ def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
     every end has degree 2 in them but for five 4s or six 3s, K's branch
     vertices are those and use every edge there, so K is all the kept edges.
     A subdivision is minimally nonplanar: every later trial would keep its
-    edge, so the greedy stops untested.
+    edge, so the greedy stops untested. An edge with an end of kept degree 1
+    lies in no subdivision, so its trial would drop it: it is dropped untested.
     """
     k, walks = kernel(gs)
     ends = dict(k.edge_items())
@@ -368,13 +369,15 @@ def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
         if tally[1] == tally[5] == 0 and (tally[3], tally[4]) in ((6, 0), (0, 5)):
             if nx.is_connected(nx.Graph([ends[x] for x in kept])):
                 break
-        trial = nx.Graph([ends[x] for x in kept if x != e])
-        if not nx.check_planarity(trial, counterexample=False)[0]:
-            kept.discard(e)
-            for v in ends[e]:
-                tally[min(degree[v], 5)] -= 1
-                degree[v] -= 1
-                tally[min(degree[v], 5)] += 1
+        if min(degree[v] for v in ends[e]) > 1:
+            trial = nx.Graph([ends[x] for x in kept if x != e])
+            if nx.check_planarity(trial, counterexample=False)[0]:
+                continue
+        kept.discard(e)
+        for v in ends[e]:
+            tally[min(degree[v], 5)] -= 1
+            degree[v] -= 1
+            tally[min(degree[v], 5)] += 1
     return parse_subdivision(gs, {x for e in kept for x in walks[e].edges})
 
 

@@ -5,6 +5,7 @@ import pkgutil
 import random
 from itertools import islice
 
+import networkx as nx
 import pytest
 
 import onecross
@@ -33,13 +34,14 @@ from onecross.characterize import (
 from onecross.cli import main
 from onecross.errors import InconsistencyDetected, PlanarInput, PreconditionViolated
 from onecross.formats import parse_graph6, write_graph6
-from onecross.graph import Multigraph, PathInGraph, delete_edges, extend, make_pair, paths_by_length
+from onecross.graph import Multigraph, PathInGraph, build, delete_edges, extend, make_pair, paths_by_length
 from onecross.kuratowski import enumerate_kuratowski, is_crossing_pair_in_kuratowski
 from onecross.planarity import test_planarity as run_planarity
 from onecross.separation import NOT_SEPARATED, separated_by_cycles
 from helpers import (
     decorated_subdivision,
     grid_with_diagonals,
+    nx_to_multigraph,
     potential_crossing_pairs,
     random_nonplanar_graph,
     subdivided,
@@ -262,25 +264,87 @@ def test_decide_k6(k6, extractions):
         assert len(missing) == 1
         cert.validate(delete_edges(k6, missing))
         covers.append(cert)
-    # a subdivision of k6 - y that avoids x is one of k6 - x: one covers many
-    assert all(any(x not in cert.edges for cert in covers) for x in failing_edges)
-    assert len(covers) < len(failing_edges)
+    # each failing deletion is certified: by Euler's edge bound, or by a
+    # subdivision that avoids its edge and so is one of k6 - x
+    for x in failing_edges:
+        assert characterize._over_euler_bound(delete_edges(k6, [x])) or any(x not in c.edges for c in covers)
 
 
 @pytest.mark.parametrize(
-    "g,count",
+    "g",
     [
-        pytest.param(families.complete_graph(6), 5, id="K6"),
-        pytest.param(families.complete_graph(7), 5, id="K7"),
-        pytest.param(families.complete_bipartite(3, 4), 4, id="K3,4"),
-        pytest.param(families.complete_bipartite(4, 4), 4, id="K4,4"),
+        pytest.param(families.complete_graph(6), id="K6"),
+        pytest.param(families.complete_graph(7), id="K7"),
+        pytest.param(families.complete_bipartite(3, 4), id="K3,4"),
+        pytest.param(families.complete_bipartite(4, 4), id="K4,4"),
     ],
 )
-def test_decide_two_plus_extractions_cover_the_failing_deletions(g, count, extractions):
-    # g's own subdivision, then one per failing deletion that no earlier
-    # one avoids: with one per failing edge this was 8, 8, 7 and 7
+def test_decide_two_plus_extractions_cover_the_failing_deletions(g, extractions):
+    # g's own subdivision alone: Euler's edge bound proves every failing
+    # deletion nonplanar, so none needs a cover (5, 5, 4 and 4 extractions
+    # with shared covers, 8, 8, 7 and 7 with one per failing edge)
     assert crossing_number_le_1(g).kind == AT_LEAST_TWO
-    assert len(extractions) == count
+    assert len(extractions) == 1
+
+
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
+def test_decide_covers_the_deletions_within_the_euler_bound(extractions):
+    # two K3,3 joined by the edge 0-6 (n = 12, m = 19): no deletion meets
+    # Euler's edge bound, so the failing deletions keep their extracted cover
+    g = build(K33 + [(a + 6, b + 6) for a, b in K33] + [(0, 6)])
+    decision = crossing_number_le_1(g)
+    assert decision.kind == AT_LEAST_TWO
+    failing_edges = {
+        next(x for x in (f.pair.e, f.pair.f) if not run_planarity(delete_edges(g, [x])).planar)
+        for f in decision.failures
+    }
+    assert failing_edges
+    assert not any(characterize._over_euler_bound(delete_edges(g, [x])) for x in failing_edges)
+    assert len(extractions) == 2
+    covers = []
+    for gs, cert in extractions[1:]:
+        (y,) = set(g.edge_ids()) - set(gs.edge_ids())
+        cert.validate(g)
+        assert y not in cert.edges
+        covers.append(cert)
+    assert all(any(x not in c.edges for c in covers) for x in failing_edges)
+
+
+@pytest.mark.parametrize(
+    "g,holds",
+    [
+        pytest.param(delete_edges(families.complete_graph(6), [0]), True, id="K6-e"),
+        pytest.param(delete_edges(families.complete_graph(7), [0]), True, id="K7-e"),
+        pytest.param(delete_edges(families.complete_bipartite(3, 4), [0]), True, id="K3,4-e"),
+        pytest.param(delete_edges(families.complete_bipartite(4, 4), [0]), True, id="K4,4-e"),
+        pytest.param(delete_edges(families.complete_graph(5), [0]), False, id="K5-e"),
+        pytest.param(delete_edges(families.complete_bipartite(3, 3), [0]), False, id="K3,3-e"),
+        pytest.param(nx_to_multigraph(nx.petersen_graph()), False, id="Petersen"),
+        # 2n - 4 = 8 edges once the doubled edge counts once; 9 if it counted twice
+        pytest.param(build(K33[1:] + [K33[1]]), False, id="K3,3-e+parallel"),
+        pytest.param(build([(0, 1), (0, 1), (0, 1)]), False, id="two-vertices"),
+        pytest.param(families.complete_graph(4), False, id="K4"),
+        pytest.param(families.cube_graph(), False, id="Q3"),
+        pytest.param(grid_with_diagonals(4), False, id="grid4+2"),
+    ],
+)
+def test_euler_bound(g, holds):
+    assert characterize._over_euler_bound(g) == holds
+
+
+def test_euler_bound_only_on_nonplanar_deletions():
+    # every connected atlas graph, planar or not, less each of its edges:
+    # wherever the bound holds, networkx finds the deletion nonplanar
+    held = 0
+    for g in families.atlas_connected(7):
+        for x in g.edge_ids():
+            h = delete_edges(g, [x])
+            if characterize._over_euler_bound(h):
+                held += 1
+                assert not nx.check_planarity(nx.Graph([ends for _, ends in h.edge_items()]))[0]
+    assert held > 0
 
 
 def test_decide_planar(q3):
@@ -327,12 +391,18 @@ def test_decide_one_searches_no_separation(g, separation_calls):
     "g,kind,tests",
     [
         pytest.param(families.v8(), EXACTLY_ONE, 15, id="V8"),
-        pytest.param(families.complete_graph(6), AT_LEAST_TWO, 66, id="K6"),
+        pytest.param(families.complete_graph(6), AT_LEAST_TWO, 5, id="K6"),
+        pytest.param(families.complete_graph(7), AT_LEAST_TWO, 10, id="K7"),
+        pytest.param(families.complete_bipartite(3, 4), AT_LEAST_TWO, 9, id="K3,4"),
+        pytest.param(families.complete_bipartite(4, 4), AT_LEAST_TWO, 12, id="K4,4"),
+        pytest.param(grid_with_diagonals(6), EXACTLY_ONE, 59, id="grid6+2"),
     ],
 )
 def test_decide_counts_left_right_tests(g, kind, tests, lr_tests):
-    # the extractions stop once their kept chains are one subdivision, and
-    # K6's failing deletions share their subdivisions: 18 and 121 before
+    # the extractions stop once their kept chains are one subdivision and
+    # drop pendant edges untested, and Euler's edge bound proves the dense
+    # deletions nonplanar untested: V8 took 18 and K6 121, then K6 66,
+    # K7 96, K3,4 34, K4,4 62 and grid6+2 75
     assert crossing_number_le_1(g).kind == kind
     assert len(lr_tests) == tests
 
@@ -366,16 +436,16 @@ def test_decide_long_subdivision_tests_the_full_graph_twice(lr_tests):
 
 
 def test_decide_long_subdivision_of_k6_on_its_kernel(lr_tests, extractions):
-    # K6 with each edge a path of 60 edges decides like K6: one deletion test
-    # per chain, not per edge (483 tests before), and the same 5 extractions,
-    # g's own and then one per cover, each of K6 less a kernel edge
+    # K6 with each edge a path of 60 edges decides like K6, on its kernel:
+    # Euler's edge bound proves each K6 less a kernel edge nonplanar, so the
+    # only extraction is g's own (483 tests before the kernel; 5 extractions,
+    # 4 of them covers of K6 less a kernel edge, before the bound)
     g = subdivided(families.complete_graph(6), [60] * 15)
     decision = crossing_number_le_1(g)
     assert decision.kind == AT_LEAST_TWO
     assert len(decision.failures) == 54_000
     assert len(lr_tests) <= 100
-    assert len(extractions) == 5
-    assert all(gs.m == 14 for gs, _cert in extractions[1:])
+    assert len(extractions) == 1
 
 
 def test_decide_is_invariant_under_subdivision():
