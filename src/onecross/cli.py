@@ -398,48 +398,71 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parser() -> argparse.ArgumentParser:
+def _input_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="path to a graph file, or '-' for stdin")
+    p.add_argument("--format", choices=["auto", "graph6", "edgelist"], default="auto")
+
+
+def _report_options(p: argparse.ArgumentParser) -> None:
+    _input_options(p)
+    p.add_argument("--budget-steps", type=int, default=None)
+    p.add_argument("--verify", action="store_true", help="re-check certificates before printing")
+    p.add_argument("--timing", action="store_true", help="include timing (breaks byte-determinism)")
+
+
+def _draw_options(p: argparse.ArgumentParser) -> None:
+    _input_options(p)
+    p.add_argument("--pair", nargs=2, required=True, metavar=("U,V", "X,Y"))
+    p.add_argument("-o", "--output", default=None, help="write DOT here instead of stdout")
+    p.add_argument("--svg", default=None, help="also write an SVG rendering here")
+
+
+def _corpus_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--count", type=int, default=0, help="random graphs instead of the atlas")
+    p.add_argument("--max-edges", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget-steps", type=int, default=None)
+    p.add_argument("--timing", action="store_true")
+
+
+# command -> (its function, its summary, the options it takes)
+COMMANDS = {
+    "decide": (cmd_decide, "planar / one crossing / at least two", _report_options),
+    "pairs": (cmd_pairs, "all crossing pairs with condition reports", _report_options),
+    "draw": (cmd_draw, "DOT/SVG of a one-crossing drawing", _draw_options),
+    "corpus": (cmd_corpus, "three-way equivalence sweep over a graph corpus", _corpus_options),
+}
+
+
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: when argv[0] names a command, with only its subparser.
+
+    Every `add_argument` builds a help formatter, so the other commands'
+    subparsers would cost more than parsing does. The one subparser's
+    metavar keeps the top usage line the full parser's, for errors such as
+    an unrecognized argument.
+    """
     top = argparse.ArgumentParser(prog="onecross", description=__doc__)
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", help="path to a graph file, or '-' for stdin")
-        p.add_argument("--format", choices=["auto", "graph6", "edgelist"], default="auto")
-
-    for name, func, summary in (
-        ("decide", cmd_decide, "planar / one crossing / at least two"),
-        ("pairs", cmd_pairs, "all crossing pairs with condition reports"),
-    ):
-        p_report = sub.add_parser(name, help=summary)
-        common(p_report)
-        p_report.add_argument("--budget-steps", type=int, default=None)
-        p_report.add_argument("--verify", action="store_true", help="re-check certificates before printing")
-        p_report.add_argument("--timing", action="store_true", help="include timing (breaks byte-determinism)")
-        p_report.set_defaults(func=func)
-
-    p_draw = sub.add_parser("draw", help="DOT/SVG of a one-crossing drawing")
-    common(p_draw)
-    p_draw.add_argument("--pair", nargs=2, required=True, metavar=("U,V", "X,Y"))
-    p_draw.add_argument("-o", "--output", default=None, help="write DOT here instead of stdout")
-    p_draw.add_argument("--svg", default=None, help="also write an SVG rendering here")
-    p_draw.set_defaults(func=cmd_draw)
-
-    p_corpus = sub.add_parser("corpus", help="three-way equivalence sweep over a graph corpus")
-    p_corpus.add_argument("--max-n", type=int, default=6)
-    p_corpus.add_argument("--count", type=int, default=0, help="random graphs instead of the atlas")
-    p_corpus.add_argument("--max-edges", type=int, default=None)
-    p_corpus.add_argument("--seed", type=int, default=0)
-    p_corpus.add_argument("--jobs", type=int, default=1)
-    p_corpus.add_argument("--budget-steps", type=int, default=None)
-    p_corpus.add_argument("--timing", action="store_true")
-    p_corpus.set_defaults(func=cmd_corpus)
-
+    if argv[:1] and argv[0] in COMMANDS:
+        names = argv[:1]
+        sub = top.add_subparsers(dest="cmd", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+    else:
+        names = list(COMMANDS)
+        sub = top.add_subparsers(dest="cmd", required=True)
+    for name in names:
+        func, summary, options = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        options(p)
+        p.set_defaults(func=func)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_PARSE if exc.code else 0
     budget = getattr(args, "budget_steps", None)

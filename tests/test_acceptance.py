@@ -19,6 +19,8 @@ from onecross.bruteforce import exhaustive_crossing_le_1
 from onecross.characterize import (
     AT_LEAST_TWO,
     EXACTLY_ONE,
+    _draw_across,
+    _draw_by_sides,
     build_one_drawing_constructive,
     check_equivalence,
     crossing_number_le_1,
@@ -175,7 +177,7 @@ def test_criterion_5_k6_analysis():
 
 def test_criterion_6_constructive_oracle_agreement():
     rng = random.Random(20260808)
-    graphs_used = built = pairs_checked = 0
+    graphs_used = built = drawn_across = pairs_checked = 0
     while graphs_used < 200:
         g = random_nonplanar_graph(rng, 10)
         _certs, reports = check_equivalence(g)
@@ -190,14 +192,22 @@ def test_criterion_6_constructive_oracle_agreement():
             continue
         graphs_used += 1
         for pair in eligible:
-            drawing = build_one_drawing_constructive(g, pair)
-            drawing.validate(g)
+            build_one_drawing_constructive(g, pair).validate(g)
             built += 1
+            # and by each route on its own: e across f where it fits, and
+            # the two sides of the detaching cycle on every pair
+            emb = run_planarity(delete_edges(g, [pair.e])).embedding
+            across = _draw_across(g, pair, emb)
+            if across is not None:
+                across.validate(g)
+                drawn_across += 1
+            _draw_by_sides(g, pair, emb).validate(g)
     _report(
         6,
-        graphs_used == 200 and built > 0,
+        graphs_used == 200 and drawn_across > 0 and built > drawn_across,
         f"200 graphs, {pairs_checked} pairs swept, {built} constructive drawings "
-        "built and validated, zero disagreements",
+        f"built and validated, {drawn_across} also drawn across f, all also by sides, "
+        "zero disagreements",
     )
 
 

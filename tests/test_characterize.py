@@ -524,6 +524,12 @@ def test_decide_unseparated_refused_pair_is_an_inconsistency(monkeypatch, tmp_pa
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture()
+def side_route(monkeypatch) -> None:
+    """The builder with drawing e across f declined, so every pair takes the side route."""
+    monkeypatch.setattr(characterize, "_draw_across", lambda g, p, emb: None)
+
+
 def _canon(rs):
     def norm(rot):
         if not rot:
@@ -605,17 +611,61 @@ def test_constructive_builder_makes_no_separation_search(monkeypatch, separation
     assert separation_calls == [] and detaching_calls == []
 
 
-@pytest.mark.parametrize(
-    "g,p",
-    [
-        pytest.param(families.v8(), make_pair(0, 4), id="V8"),
-        pytest.param(families.siran_graph(), make_pair(_sedge("u", "y"), _sedge("w", "z")), id="Siran"),
-        pytest.param(families.complete_bipartite(3, 3), make_pair(0, 4), id="K33"),
-    ],
-)
-def test_constructive_builder_makes_three_left_right_tests(g, p, lr_tests):
+# pairs whose ends face f from both sides in g - e's embedding
+DRAWN_ACROSS = [
+    pytest.param(families.v8(), make_pair(0, 4), id="V8"),
+    pytest.param(families.siran_graph(), make_pair(_sedge("u", "y"), _sedge("w", "z")), id="Siran"),
+    pytest.param(families.complete_bipartite(3, 3), make_pair(0, 4), id="K33"),
+]
+
+
+@pytest.mark.parametrize("g,p", DRAWN_ACROSS)
+def test_constructive_builder_makes_three_left_right_tests(g, p, side_route, lr_tests):
     # g - e and the two sides' embeddings; g - f is not tested, since the
     # validated drawing embeds it
+    build_one_drawing_constructive(g, p).validate(g)
+    assert len(lr_tests) == 3
+
+
+@pytest.mark.parametrize("g,p", DRAWN_ACROSS)
+def test_constructive_builder_draws_across_f_in_one_left_right_test(g, p, lr_tests, extractions):
+    # g - e's embedding has e's ends on the two faces beside f: e is drawn
+    # across f there, with no witness and no side embedding
+    emb = run_planarity(delete_edges(g, [p.e])).embedding
+    assert characterize._draw_across(g, p, emb) is not None
+    lr_tests.clear()
+    build_one_drawing_constructive(g, p).validate(g)
+    assert len(lr_tests) == 1 and extractions == []
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(families.moebius_ladder(64), id="V128"),
+        pytest.param(subdivided(families.complete_graph(5), [300] * 10), id="K5/s300"),
+    ],
+)
+def test_constructive_builder_draws_the_decided_pair_of_a_large_graph_across(g, monkeypatch, lr_tests, extractions):
+    # above the enumeration gate the side route would extract a witness and
+    # embed both sides; drawing e across f tests g - e alone
+    decision = crossing_number_le_1(g)
+    assert decision.kind == EXACTLY_ONE
+    lr_tests.clear()
+    extractions.clear()
+    monkeypatch.setattr(characterize, "embed_with_outer_cycle", None)
+    build_one_drawing_constructive(g, decision.drawing.crossing_pair).validate(g)
+    assert len(lr_tests) == 1 and extractions == []
+
+
+def test_constructive_builder_embeds_the_sides_of_a_declined_pair(lr_tests):
+    # an atlas graph (graph6 E^NG): in g - (0,5)'s embedding the faces beside
+    # (2,4) do not hold 0 and 5 one each, so the sides are embedded and glued
+    g = build([(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)])
+    p = make_pair(2, 7)
+    assert (g.endpoints(p.e), g.endpoints(p.f)) == ((0, 5), (2, 4))
+    assert oracle_crossing_pair(g, p) is not None
+    assert characterize._draw_across(g, p, run_planarity(delete_edges(g, [p.e])).embedding) is None
+    lr_tests.clear()
     build_one_drawing_constructive(g, p).validate(g)
     assert len(lr_tests) == 3
 
@@ -647,7 +697,9 @@ def test_walk_cycle_refuses_what_is_not_one_cycle():
     assert characterize._walk_cycle(square, square.edge_ids()).vertices == (0, 1, 2, 3, 0)
 
 
-def test_constructive_failed_step_on_unseparated_pair_is_an_inconsistency(monkeypatch, separation_calls, v8):
+def test_constructive_failed_step_on_unseparated_pair_is_an_inconsistency(
+    monkeypatch, separation_calls, side_route, v8
+):
     # V8 (0,4) is a crossing pair, so the gadget graph is planar and the
     # failed step's error stands
     monkeypatch.setattr(characterize, "embed_with_outer_cycle", lambda g, c: None)

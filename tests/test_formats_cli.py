@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import onecross.cli as cli
 from onecross import families
 from onecross.cli import main
 from onecross.formats import (
@@ -426,6 +427,41 @@ def test_cli_usage_errors_exit_64(argv, v8_file, lr_tests, capsys):
 def test_cli_help_exits_0(capsys):
     assert main(["draw", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: ")
+
+
+def test_cli_top_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: onecross [-h] {decide,pairs,draw,corpus} ...\n")
+    for name, (_func, summary, _options) in cli.COMMANDS.items():
+        assert f"    {name}" in out and summary in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--help"],
+        ["pairs", "--help"],
+        ["draw", "--help"],
+        ["corpus", "--help"],
+        ["decide"],
+        ["decide", "g.txt", "--no-such-flag"],
+        ["decide", "g.txt", "stray"],
+        ["pairs", "g.txt", "--budget-steps", "ten"],
+        ["draw", "g.txt", "--pair", "0,1"],
+        ["corpus", "--max-n", "six"],
+    ],
+)
+def test_cli_parser_of_one_command_prints_what_the_full_parser_does(argv, capsys):
+    # a call that names its command builds that subparser alone; its help and
+    # usage errors keep the full parser's bytes
+    printed = []
+    for parser in (cli._parser(argv), cli._parser([])):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        printed.append((exit_info.value.code, capsys.readouterr()))
+    assert list(cli._parser(argv)._subparsers._group_actions[0].choices) == argv[:1]
+    assert printed[0] == printed[1]
 
 
 def test_cli_corpus_never_asks_for_more_workers_than_graphs(monkeypatch, capsys):
