@@ -37,7 +37,6 @@ from .graph import (
     extend,
     kernel,
     make_pair,
-    parallel_classes,
     restrict,
 )
 from .kuratowski import branch_structure, enumerate_kuratowski, is_crossing_pair_in_kuratowski
@@ -237,41 +236,6 @@ def _deletion_tests(g: Multigraph) -> Callable[[int], PlanarityResult]:
     return functools.cache(lambda x: test_planarity(delete_edges(g, [x])))
 
 
-def _simple_size(h: Multigraph) -> tuple[int, int]:
-    """n and m of h's simple graph, counting only vertices of positive degree."""
-    pairs = parallel_classes(h)
-    return len({v for p in pairs for v in p}), len(pairs)
-
-
-def _over_euler_bound(h: Multigraph) -> bool:
-    """Whether Euler's formula proves h nonplanar by its edge count alone.
-
-    A simple planar graph on n >= 3 vertices has at most 3n - 6 edges, and at
-    most 2n - 4 if it is bipartite. Parallel edges count once.
-    """
-    n, m = _simple_size(h)
-    if n < 3 or m <= 2 * n - 4:
-        return False
-    if m > 3 * n - 6:
-        return True
-    colour: dict[int, int] = {}
-    for start in h.vertices:
-        if start in colour:
-            continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e in h.edges_at(v):
-                w = h.other_end(e, v)
-                if w not in colour:
-                    colour[w] = 1 - colour[v]
-                    stack.append(w)
-                elif colour[w] == colour[v]:
-                    return False
-    return True
-
-
 def check_equivalence(
     g: Multigraph, budget: int | None = None
 ) -> tuple[list[KuratowskiCert], Iterator[ConditionReport]]:
@@ -339,16 +303,15 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
 
     Subdividing edges and dropping cycles that hang at one vertex do not
     change a deletion's planarity, so the deletions are decided on g's kernel,
-    once per kernel edge: by Euler's edge bound (`_over_euler_bound`) where
-    it holds, else by a test.
+    once per kernel edge.
 
     Only when every candidate fails is the evidence for cr >= 2 built, in
     candidate order. A deletion g - x that stays nonplanar needs no cover
-    when Euler's edge bound proves its kernel deletion nonplanar. Otherwise
-    it is covered by a validated Kuratowski subdivision that avoids x, since
-    that is a subgraph of g - x: one built for an earlier edge if any avoids
-    x, else the kernel deletion's own, expanded to g, so one subdivision
-    covers many deletions.
+    when Euler's edge count decided its kernel deletion (`counted`).
+    Otherwise it is covered by a validated Kuratowski subdivision that
+    avoids x, since that is a subgraph of g - x: one built for an earlier
+    edge if any avoids x, else the kernel deletion's own, expanded to g, so
+    one subdivision covers many deletions.
     A refused pair gets a separation witness. By the equivalence of (i) and
     (iii) such a witness exists; a NOT_SEPARATED verdict is an inconsistency.
     `budget` bounds each of these separation searches.
@@ -360,14 +323,10 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
     k, walks = kernel(g)
     kernel_edge = {x: e for e, walk in walks.items() for x in walk.edges}
     deletion = _deletion_tests(k)
-    # a candidate's kernel edge y lies on a subdivision, so K - y keeps K's
-    # vertices and at most its simple edges: if K is within 2n - 4, so is K - y
-    n, m = _simple_size(k)
-    dense = functools.cache(lambda y: m > 2 * n - 4 and _over_euler_bound(delete_edges(k, [y])))
     # each failed pair, with its edge x if g - x stays nonplanar
     held: list[tuple[EdgePair, int | None]] = []
     for pair in _candidate_pairs(res.kuratowski):
-        x = next((y for y in pair if dense(kernel_edge[y]) or not deletion(kernel_edge[y]).planar), None)
+        x = next((y for y in pair if not deletion(kernel_edge[y]).planar), None)
         if x is not None:
             held.append((pair, x))
             continue
@@ -380,8 +339,9 @@ def crossing_number_le_1(g: Multigraph, budget: int | None = None) -> CrossingDe
     covers: list[KuratowskiCert] = []
     for pair, x in held:
         if x is not None:
-            if not dense(kernel_edge[x]) and all(x in cover.edges for cover in covers):
-                sub = deletion(kernel_edge[x]).kuratowski
+            minus_x = deletion(kernel_edge[x])
+            if not minus_x.counted and all(x in cover.edges for cover in covers):
+                sub = minus_x.kuratowski
                 covers.append(parse_subdivision(g, {y for e in sub.edges for y in walks[e].edges}))
                 if x in covers[-1].edges:
                     raise InconsistencyDetected(f"the subdivision of g - {x} contains {x}")

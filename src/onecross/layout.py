@@ -18,6 +18,7 @@ from .graph import parallel_classes
 from .planarity import RotationSystem
 
 Point = tuple[int, int]
+SVG_SIZE = 480  # width and height of the SVG canvas
 # what XML 1.0's Char production leaves out; no escape can write it
 _XML_FORBIDDEN = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
@@ -69,7 +70,7 @@ def to_dot(drawing: OneDrawing, labels: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_svg(drawing: OneDrawing, labels: list[str] | None = None, size: int = 480) -> str:
+def to_svg(drawing: OneDrawing, labels: list[str] | None = None) -> str:
     """SVG of the drawing; the crossing vertex is drawn as an x.
 
     The least edge of each parallel class is a straight line; the k-th after
@@ -82,15 +83,15 @@ def to_svg(drawing: OneDrawing, labels: list[str] | None = None, size: int = 480
     x0, y0 = min(xs), min(ys)
     span = max(max(xs) - x0, max(ys) - y0, 1e-6)
     pad = 30.0
-    scale = (size - 2 * pad) / span
+    scale = (SVG_SIZE - 2 * pad) / span
 
     def pt(v: int) -> tuple[float, float]:
         x, y = pos[v]
         return (pad + (x - x0) * scale, pad + (y - y0) * scale)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     rank = {e: k for ids in parallel_classes(pz.graph).values() for k, e in enumerate(ids)}

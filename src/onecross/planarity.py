@@ -1,13 +1,14 @@
 """Planarity decisions with a certificate for either answer, plus embeddings.
 
-`test_planarity` is one decision: networkx's left-right test on the
-parallel-reduced graph. The certificate of the answer is built the first time
-a caller reads it, and cached: a planar result's `.embedding` is a
-RotationSystem (cyclic edge order at each vertex) that passes the Euler check,
-a nonplanar result's `.kuratowski` is a validated Kuratowski subdivision. The
-certificate extraction, face tracing, Euler validation and all embedding
-surgery are implemented here. An independent brute-force planarity oracle
-lives in `bruteforce` and never shares this code path.
+`test_planarity` is one decision on the parallel-reduced graph: Euler's edge
+count first, then at most one networkx left-right test. The certificate of
+the answer is built the first time a caller reads it, and cached: a planar
+result's `.embedding` is a RotationSystem (cyclic edge order at each vertex)
+that passes the Euler check, a nonplanar result's `.kuratowski` is a
+validated Kuratowski subdivision. The certificate extraction, face tracing,
+Euler validation and all embedding surgery are implemented here. An
+independent brute-force planarity oracle lives in `bruteforce` and never
+shares this code path.
 """
 
 from __future__ import annotations
@@ -285,13 +286,17 @@ class KuratowskiCert:
 class PlanarityResult:
     """One planarity decision and the certificate of its answer.
 
-    `.embedding` (planar) or `.kuratowski` (nonplanar) is built, checked and
-    cached on its first read; the other one is None.
+    `counted` says that Euler's edge count refuted planarity, with no
+    left-right test. `.embedding` (planar) or `.kuratowski` (nonplanar) is
+    built, checked and cached on its first read; the other one is None.
     """
 
-    def __init__(self, planar: bool, g: Multigraph, nx_embedding: nx.PlanarEmbedding | None) -> None:
-        self.planar = planar
+    def __init__(
+        self, g: Multigraph, planar: bool, counted: bool, nx_embedding: nx.PlanarEmbedding | None
+    ) -> None:
         self._graph = g
+        self.planar = planar
+        self.counted = counted
         self._nx_embedding = nx_embedding
 
     @cached_property
@@ -335,13 +340,29 @@ def _to_nx(g: Multigraph) -> nx.Graph:
 
 
 def test_planarity(g: Multigraph) -> PlanarityResult:
-    """Decide planarity of a multigraph by one left-right test.
+    """Decide planarity of a multigraph: Euler's edge count first, then at
+    most one left-right test.
 
     Parallel edges are reduced to a single representative for the decision and
     re-expanded into the embedding when it is read.
     """
-    ok, emb = nx.check_planarity(_to_nx(g), counterexample=False)
-    return PlanarityResult(ok, g, emb)
+    return PlanarityResult(g, *_decide(_to_nx(g)))
+
+
+def _decide(G: nx.Graph) -> tuple[bool, bool, nx.PlanarEmbedding | None]:
+    """Whether the simple graph G is planar, whether Euler's count decided it,
+    and networkx's embedding if G is planar.
+
+    A simple planar graph on n >= 3 vertices has at most 3n - 6 edges, and at
+    most 2n - 4 if it is bipartite; n counts only vertices of positive degree.
+    Where the count refutes planarity, no left-right test runs.
+    """
+    degrees = [d for _, d in G.degree if d]
+    n, m = len(degrees), sum(degrees) // 2
+    if n >= 3 and (m > 3 * n - 6 or (m > 2 * n - 4 and nx.is_bipartite(G))):
+        return False, True, None
+    planar, emb = nx.check_planarity(G, counterexample=False)
+    return planar, False, emb
 
 
 def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
@@ -350,7 +371,7 @@ def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
     A subdivision uses all of a walk of gs's kernel or none of it, so the
     kernel's edges are dropped whole, tried in id order: this keeps the edges
     that dropping single edges of gs in id order would keep. Each trial is one
-    left-right test on the kernel's edges still kept, with parallel edges
+    decision (`_decide`) on the kernel's edges still kept, with parallel edges
     merged since they cannot change planarity.
 
     The kept edges always hold a subdivision K. Once they are connected and
@@ -369,10 +390,8 @@ def _extract_kuratowski(gs: Multigraph) -> KuratowskiCert:
         if tally[1] == tally[5] == 0 and (tally[3], tally[4]) in ((6, 0), (0, 5)):
             if nx.is_connected(nx.Graph([ends[x] for x in kept])):
                 break
-        if min(degree[v] for v in ends[e]) > 1:
-            trial = nx.Graph([ends[x] for x in kept if x != e])
-            if nx.check_planarity(trial, counterexample=False)[0]:
-                continue
+        if min(degree[v] for v in ends[e]) > 1 and _decide(nx.Graph([ends[x] for x in kept if x != e]))[0]:
+            continue
         kept.discard(e)
         for v in ends[e]:
             tally[min(degree[v], 5)] -= 1

@@ -205,13 +205,23 @@ def test_equivalence_k6_sample(k6):
         assert rep.consistent and not rep.cond_i
 
 
-def test_equivalence_sweep_decides_each_deletion_once(k6, lr_tests):
-    # K6 has 15 edges and 45 vertex-disjoint pairs: one test of K6, the
-    # oracle's gadget per pair, one test of K6 - x per edge
-    certs, reports = check_equivalence(k6)
+def test_equivalence_sweep_decides_each_deletion_once(v8, lr_tests):
+    # V8 has 12 edges and 42 vertex-disjoint pairs, and no edge count here
+    # refutes planarity: one test of V8, the oracle's gadget per pair, one
+    # test of V8 - x per edge
+    certs, reports = check_equivalence(v8)
     assert len(lr_tests) == 1
-    assert sum(1 for _ in reports) == 45
-    assert len(lr_tests) == 1 + 45 + 15
+    assert sum(1 for _ in reports) == 42
+    assert len(lr_tests) == 1 + 42 + 12
+    assert len(certs) == len(list(enumerate_kuratowski(v8)))
+
+
+def test_equivalence_sweep_on_k6_is_counted(k6, lr_tests):
+    # K6, each gadget (7 vertices, 17 edges) and each K6 - x (6, 14) exceed
+    # 3n - 6 edges, so Euler's count decides them all
+    certs, reports = check_equivalence(k6)
+    assert sum(1 for rep in reports if rep.consistent and not rep.cond_i) == 45
+    assert lr_tests == []
     assert len(certs) == len(list(enumerate_kuratowski(k6)))
 
 
@@ -267,7 +277,7 @@ def test_decide_k6(k6, extractions):
     # each failing deletion is certified: by Euler's edge bound, or by a
     # subdivision that avoids its edge and so is one of k6 - x
     for x in failing_edges:
-        assert characterize._over_euler_bound(delete_edges(k6, [x])) or any(x not in c.edges for c in covers)
+        assert run_planarity(delete_edges(k6, [x])).counted or any(x not in c.edges for c in covers)
 
 
 @pytest.mark.parametrize(
@@ -301,7 +311,7 @@ def test_decide_covers_the_deletions_within_the_euler_bound(extractions):
         for f in decision.failures
     }
     assert failing_edges
-    assert not any(characterize._over_euler_bound(delete_edges(g, [x])) for x in failing_edges)
+    assert not any(run_planarity(delete_edges(g, [x])).counted for x in failing_edges)
     assert len(extractions) == 2
     covers = []
     for gs, cert in extractions[1:]:
@@ -330,18 +340,21 @@ def test_decide_covers_the_deletions_within_the_euler_bound(extractions):
         pytest.param(grid_with_diagonals(4), False, id="grid4+2"),
     ],
 )
-def test_euler_bound(g, holds):
-    assert characterize._over_euler_bound(g) == holds
+def test_euler_bound(g, holds, lr_tests):
+    res = run_planarity(g)
+    assert res.counted == holds
+    if holds:
+        assert not res.planar and lr_tests == []
 
 
 def test_euler_bound_only_on_nonplanar_deletions():
     # every connected atlas graph, planar or not, less each of its edges:
-    # wherever the bound holds, networkx finds the deletion nonplanar
+    # wherever the count decides, networkx finds the deletion nonplanar
     held = 0
     for g in families.atlas_connected(7):
         for x in g.edge_ids():
             h = delete_edges(g, [x])
-            if characterize._over_euler_bound(h):
+            if run_planarity(h).counted:
                 held += 1
                 assert not nx.check_planarity(nx.Graph([ends for _, ends in h.edge_items()]))[0]
     assert held > 0
@@ -391,18 +404,19 @@ def test_decide_one_searches_no_separation(g, separation_calls):
     "g,kind,tests",
     [
         pytest.param(families.v8(), EXACTLY_ONE, 15, id="V8"),
-        pytest.param(families.complete_graph(6), AT_LEAST_TWO, 5, id="K6"),
-        pytest.param(families.complete_graph(7), AT_LEAST_TWO, 10, id="K7"),
-        pytest.param(families.complete_bipartite(3, 4), AT_LEAST_TWO, 9, id="K3,4"),
-        pytest.param(families.complete_bipartite(4, 4), AT_LEAST_TWO, 12, id="K4,4"),
+        pytest.param(families.complete_graph(6), AT_LEAST_TWO, 2, id="K6"),
+        pytest.param(families.complete_graph(7), AT_LEAST_TWO, 2, id="K7"),
+        pytest.param(families.complete_bipartite(3, 4), AT_LEAST_TWO, 7, id="K3,4"),
+        pytest.param(families.complete_bipartite(4, 4), AT_LEAST_TWO, 7, id="K4,4"),
         pytest.param(grid_with_diagonals(6), EXACTLY_ONE, 59, id="grid6+2"),
     ],
 )
 def test_decide_counts_left_right_tests(g, kind, tests, lr_tests):
     # the extractions stop once their kept chains are one subdivision and
-    # drop pendant edges untested, and Euler's edge bound proves the dense
-    # deletions nonplanar untested: V8 took 18 and K6 121, then K6 66,
-    # K7 96, K3,4 34, K4,4 62 and grid6+2 75
+    # drop pendant edges untested, and Euler's edge count decides dense
+    # graphs untested: V8 took 18 and K6 121, then K6 66, K7 96, K3,4 34,
+    # K4,4 62 and grid6+2 75, then K6 5, K7 10, K3,4 9 and K4,4 12 while the
+    # count was decide's alone
     assert crossing_number_le_1(g).kind == kind
     assert len(lr_tests) == tests
 

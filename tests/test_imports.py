@@ -61,3 +61,23 @@ def test_module_state_is_reported():
         "_live = weakref.WeakValueDictionary()\nif GATE:\n    cache = {}\ndef f():\n    local = 1\n"
     )
     assert _module_state(source) == ["_live", "cache"]
+
+
+def _calls_named(source: str, name: str) -> int:
+    """Calls in source of a function or attribute called `name`."""
+    return sum(
+        1
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)) == name
+    )
+
+
+def test_library_has_one_left_right_test_site():
+    # Euler's edge count runs before the one call; a second would bypass it
+    sources = [p.read_text(encoding="utf-8") for p in Path(onecross.__file__).parent.glob("*.py")]
+    assert sum(_calls_named(source, "check_planarity") for source in sources) == 1
+
+
+def test_calls_named_counts_functions_and_attributes():
+    assert _calls_named("nx.check_planarity(g)\ncheck_planarity(h)\nf(check_planarity)\n", "check_planarity") == 2

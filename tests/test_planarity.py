@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from onecross import bruteforce, families
@@ -24,6 +25,7 @@ from helpers import (
     cycle_from_vertices,
     decorated_subdivision,
     edge_by_edge_kuratowski,
+    nx_to_multigraph,
     random_planar_graph,
     subdivided,
 )
@@ -34,8 +36,10 @@ from helpers import (
 # ---------------------------------------------------------------------------
 
 
-def test_decision_is_one_left_right_test(k6, lr_tests):
-    assert not run_planarity(k6).planar
+def test_decision_is_one_left_right_test(v8, lr_tests):
+    # V8's edge count does not refute planarity (K6's does, with no test)
+    res = run_planarity(v8)
+    assert not res.planar and not res.counted
     assert len(lr_tests) == 1
 
 
@@ -72,18 +76,86 @@ def test_kuratowski_read_validates_once(g, monkeypatch):
 
 
 def test_dropped_decision_is_tested_again(lr_tests):
-    g = families.complete_graph(6)
+    g = families.v8()
     assert not run_planarity(g).planar
     assert not run_planarity(g).planar
     assert len(lr_tests) == 2
 
 
 def test_equal_graph_gets_its_own_test(lr_tests):
-    g, twin = families.complete_graph(6), families.complete_graph(6)
+    g, twin = families.v8(), families.v8()
     assert g == twin
     res = run_planarity(g)
     assert run_planarity(twin) is not res
     assert len(lr_tests) == 2
+
+
+# ---------------------------------------------------------------------------
+# Euler's edge count inside the decision
+# ---------------------------------------------------------------------------
+
+
+def _refereed(g: Multigraph) -> bool:
+    """Whether the count decided g, after checking the decision against
+    networkx on g's simple graph."""
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(ends for _, ends in g.edge_items())
+    res = run_planarity(g)
+    assert res.planar == nx.check_planarity(G)[0]
+    assert not (res.counted and res.planar)
+    return res.counted
+
+
+def test_count_referee_on_the_atlas():
+    # every graph of the atlas (at most 7 vertices), planar, disconnected
+    # and with isolated vertices included
+    counted = sum(_refereed(nx_to_multigraph(G)) for G in nx.graph_atlas_g())
+    assert counted > 0
+
+
+def _random_multigraph(rng: random.Random) -> Multigraph:
+    """Up to three components, each random or random bipartite, then doubled
+    edges, a triangle hanging at one vertex and isolated vertices."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(rng.randint(1, 3)):
+        size, p, bipartite = rng.randint(1, 8), rng.random() ** 0.5, rng.random() < 0.5
+        # a bipartite component joins only vertices of opposite parity
+        edges += [(u, v) for u, v in combinations(range(n, n + size), 2)
+                  if (not bipartite or (u - v) % 2) and rng.random() < p]
+        n += size
+    edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))
+    if edges and rng.random() < 0.5:
+        t = rng.choice(edges)[0]
+        edges += [(t, n), (n, n + 1), (n + 1, t)]
+        n += 2
+    return build(edges, vertices=range(n + rng.randint(0, 2)))
+
+
+def test_count_referee_on_random_multigraphs():
+    rng = random.Random(20190)
+    counted = [_refereed(_random_multigraph(rng)) for _ in range(400)]
+    assert 0 < sum(counted) < len(counted)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        families.complete_graph(5),
+        families.complete_bipartite(3, 3),
+        families.complete_graph(6),
+        families.complete_graph(7),
+        families.complete_bipartite(3, 4),
+        families.complete_bipartite(4, 4),
+    ],
+    ids=["K5", "K3,3", "K6", "K7", "K3,4", "K4,4"],
+)
+def test_dense_graph_is_counted_and_still_certified(g, lr_tests):
+    res = run_planarity(g)
+    assert not res.planar and res.counted
+    assert lr_tests == []
+    res.kuratowski.validate(g)
 
 
 def test_k4_planar_four_faces(k4):
