@@ -16,6 +16,7 @@ from .graph import (
     Multigraph,
     PathInGraph,
     all_cycles,
+    connected_components,
     extend,
     subdivide_edge,
 )
@@ -112,29 +113,19 @@ def _assert_partition(g: Multigraph, h: PathInGraph, bridges: list[Bridge]) -> N
         raise InconsistencyDetected("bridges do not partition the off-H edges")
 
 
-def cycle_order(c: PathInGraph) -> tuple[int, ...]:
-    """Canonical traversal of a cycle: start at the smallest vertex, towards
-    its smaller neighbour."""
-    ring = list(c.vertices[:-1])
-    k = ring.index(min(ring))
-    ring = ring[k:] + ring[:k]
-    if len(ring) > 2 and ring[-1] < ring[1]:
-        ring = [ring[0]] + ring[:0:-1]
-    return tuple(ring)
-
-
 def overlap(b1: Bridge, b2: Bridge, c: PathInGraph) -> OverlapVerdict:
-    """Do two C-bridges overlap: three common attachments, or interleaving."""
+    """Do two C-bridges overlap: three common attachments, or interleaving
+    along the walk of c."""
     if b1 == b2:
         raise SameBridge("overlap requires two distinct bridges")
     common = sorted(b1.attachments & b2.attachments)
     if len(common) >= 3:
         return OverlapVerdict(True, "three_common", tuple(common[:3]))
 
-    ring = cycle_order(c)
+    ring = c.vertices[:-1]
     pos = {v: i for i, v in enumerate(ring)}
-    att1 = sorted(b1.attachments & set(ring))
-    att2 = sorted(b2.attachments & set(ring))
+    att1 = sorted(b1.attachments.intersection(ring))
+    att2 = sorted(b2.attachments.intersection(ring))
     n = len(ring)
 
     def between(i: int, j: int, k: int) -> bool:
@@ -155,28 +146,19 @@ def overlap(b1: Bridge, b2: Bridge, c: PathInGraph) -> OverlapVerdict:
 def side_of_bridge(r: RotationSystem, c: PathInGraph, bridge: Bridge) -> int | None:
     """Which side of the embedded cycle holds the bridge: +1 or -1.
 
-    Returns None for bridges with no attachments. Raises if the embedding
-    assigns the bridge's legs inconsistently (impossible in a planar one).
+    +1 is the corner from c.edges[i] round to c.edges[i - 1] at the walk's
+    i-th vertex. Returns None for bridges with no attachments. Raises if the
+    embedding assigns the bridge's legs inconsistently (impossible in a
+    planar one).
     """
-    ring = cycle_order(c)
-    n = len(ring)
-    ring_pos = {v: i for i, v in enumerate(ring)}
-    cycle_edges = set(c.edges)
-
+    pos = {v: i for i, v in enumerate(c.vertices[:-1])}
     sides: set[int] = set()
     for a in sorted(bridge.attachments):
-        i = ring_pos[a]
-        prev_v, next_v = ring[(i - 1) % n], ring[(i + 1) % n]
+        i = pos[a]
         rot = r.rotation[a]
-        ring_edges = [e for e in rot if e in cycle_edges]
-        if len(ring_edges) != 2:
+        e_next, e_prev = c.edges[i], c.edges[i - 1]
+        if e_next not in rot or e_prev not in rot:
             raise InconsistencyDetected("cycle vertex without two cycle edges")
-        if n == 2:
-            # both cycle edges join the same pair; label them by id
-            e_next, e_prev = min(ring_edges), max(ring_edges)
-        else:
-            e_next = next(e for e in ring_edges if r.graph.other_end(e, a) == next_v)
-            e_prev = next(e for e in ring_edges if r.graph.other_end(e, a) == prev_v)
         start = rot.index(e_next)
         span = (rot.index(e_prev) - start) % len(rot)
         for e in bridge.edges:
@@ -201,8 +183,6 @@ def _cofacial_embedding_vv(g: Multigraph, x: int, y: int) -> RotationSystem | No
 
 
 def _same_component(g: Multigraph, x: int, y: int) -> bool:
-    from .graph import connected_components
-
     return any(x in comp and y in comp for comp in connected_components(g))
 
 

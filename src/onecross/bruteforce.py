@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from itertools import permutations
 
 from .errors import SearchBudgetExceeded
-from .graph import Multigraph, make_pair, simplify
+from .graph import Multigraph, connected_components, delete_edges, extend, make_pair, simplify
 from .planarity import RotationSystem
 
 PLANAR = "planar"
@@ -97,8 +97,6 @@ def _faces_of(g: Multigraph, rotation: dict[int, tuple[int, ...]]) -> int:
 
 
 def _component_data(g: Multigraph) -> list[tuple[int, int]]:
-    from .graph import connected_components
-
     out = []
     for comp in connected_components(g):
         edges = {e for v in comp for e in g.edges_at(v)}
@@ -135,8 +133,6 @@ def exhaustive_planar(g: Multigraph, budget: int | None = None) -> bool:
 
 
 def _planarize_raw(g: Multigraph, e: int, f: int) -> Multigraph:
-    from .graph import delete_edges, extend
-
     u, v = g.endpoints(e)
     x, y = g.endpoints(f)
     w = g.max_vertex() + 1

@@ -5,7 +5,8 @@ is only included when explicitly requested). Exit codes: decide returns 0 for
 planar, 1 for exactly one crossing, 2 for at least two; 64 marks unparseable
 input, a usage error or an unusable option value, 65 a planar input where
 pairs were requested, 66 a non-crossing pair, 69 an exhausted search budget
-and 70 an internal inconsistency.
+(from pairs, with the report of the pairs settled before it ran out) and 70
+an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .characterize import (
 )
 from .errors import BudgetExceeded, InconsistencyDetected, OnecrossError, PlanarInput
 from .formats import FormatError, parse_input, write_graph6
-from .graph import EdgePair, Multigraph, make_pair
+from .graph import EdgePair, Multigraph, build, make_pair
+from .kuratowski import ENUMERATION_VERTEX_GATE
 from .planarity import KuratowskiCert, RotationSystem, test_planarity
 from .separation import SeparationVerdict, verify_separation_witness
 
@@ -194,25 +196,34 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     crossing = []
     rejected = []
     witnessed = []
-    for r in reports:
-        if not r.consistent:
-            raise InconsistencyDetected(
-                f"equivalence conditions disagree on pair ({r.pair.e},{r.pair.f}): "
-                f"i={r.cond_i} ii={r.cond_ii.holds} iii={r.cond_iii.holds}"
-            )
-        (crossing if r.cond_i else rejected).append(_condition_report_json(r))
-        witnessed.append((r.pair, r.cond_iii.separation))
+    exhausted = None
+    try:
+        for r in reports:
+            if not r.consistent:
+                raise InconsistencyDetected(
+                    f"equivalence conditions disagree on pair ({r.pair.e},{r.pair.f}): "
+                    f"i={r.cond_i} ii={r.cond_ii.holds} iii={r.cond_iii.holds}"
+                )
+            (crossing if r.cond_i else rejected).append(_condition_report_json(r))
+            witnessed.append((r.pair, r.cond_iii.separation))
+    except BudgetExceeded as exc:
+        exhausted = exc
     elapsed = time.perf_counter() - t0
-    body = {
+    body: dict[str, Any] = {
         "crossing_pairs": crossing,
         "rejected_pairs": rejected,
         "kuratowski_count": len(certs),
     }
+    if exhausted is not None:
+        body["partial"] = True
     if args.verify:
         # every report agreed; re-check the certificates that ended up in it
         _verify_report(g, None, None, certs=certs, witnessed_pairs=witnessed)
         body["verified"] = True
     sys.stdout.write(_report("pairs", g, body, elapsed if args.timing else None))
+    if exhausted is not None:
+        sys.stderr.write(f"budget exceeded: {exhausted}\n")
+        return EXIT_BUDGET
     return 1 if crossing else 2
 
 
@@ -305,8 +316,6 @@ def _try_graph6(g: Multigraph) -> str | None:
 def _random_graphs(count: int, max_n: int, max_edges: int | None, seed: int) -> list[Multigraph]:
     import random
 
-    from .graph import build
-
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -329,8 +338,8 @@ def _random_graphs(count: int, max_n: int, max_edges: int | None, seed: int) -> 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.max_n > 12:
-        sys.stderr.write("corpus sweeps are gated to max-n <= 12\n")
+    if args.max_n > ENUMERATION_VERTEX_GATE:
+        sys.stderr.write(f"corpus sweeps are gated to max-n <= {ENUMERATION_VERTEX_GATE}\n")
         return EXIT_BUDGET
     if args.jobs < 1:
         sys.stderr.write("--jobs must be at least 1\n")

@@ -16,7 +16,6 @@ from .graph import (
     PathInGraph,
     _StepBudget,
     cycles_through_edge,
-    paths_by_length,
     restrict,
 )
 
@@ -62,14 +61,14 @@ def separated_by_cycles(g: Multigraph, p: EdgePair, budget: int | None = None) -
         return NOT_SEPARATED
 
     counter = _StepBudget(budget)
-    a, b = g.endpoints(p.f)
     for cycle_e in cycles_through_edge(g, p.e, forbidden_vertices=f_ends, budget=counter):
         # f's ends are forbidden to cycle_e, so f is among the edges off it
-        h = restrict(g, [x for x in g.edge_ids() if not (set(g.endpoints(x)) & cycle_e.vertex_set())])
-        path = next(paths_by_length(h, b, a, forbidden_edges=frozenset({p.f}), budget=counter), None)
-        if path is None:
+        on_e = cycle_e.vertex_set()
+        h = restrict(g, [x for x in g.edge_ids() if on_e.isdisjoint(g.endpoints(x))])
+        cycle_f = next(cycles_through_edge(h, p.f, budget=counter), None)
+        if cycle_f is None:
             continue
-        witness = SeparationWitness(cycle_e, PathInGraph((a,) + path.vertices, (p.f,) + path.edges))
+        witness = SeparationWitness(cycle_e, cycle_f)
         if not verify_separation_witness(g, p, witness):
             raise InconsistencyDetected(f"separation witness for ({p.e},{p.f}) fails its own check")
         return SeparationVerdict(True, witness)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -8,7 +9,6 @@ from onecross import families
 from onecross.bridges import (
     Cofacial,
     Detached,
-    cycle_order,
     decompose,
     detaching_cycle_ve,
     detaching_cycle_vv,
@@ -110,7 +110,7 @@ def test_overlap_symmetric_and_same_bridge_rejected(v8):
 def test_witness_vertices_lie_on_cycle(v8):
     c = cycle_from_vertices(v8, range(8))
     bs = decompose(v8, c)
-    ring = cycle_order(c)
+    ring = c.vertices[:-1]
     pos = {v: i for i, v in enumerate(ring)}
     v = overlap(bs[0], bs[2], c)
     assert v.overlapping
@@ -149,6 +149,59 @@ def test_overlapping_bridges_on_distinct_sides():
         if checked > 400:
             break
     assert checked > 100
+
+
+def test_two_edge_cycle_puts_both_bridges_on_one_side():
+    # two paths 0-2-1 and 0-3-1 beside the parallel pair (0,1): edges 0 and 1
+    g = build([(0, 1), (0, 1), (0, 2), (2, 1), (0, 3), (3, 1)])
+    c = PathInGraph((0, 1, 0), (0, 1))
+    emb = run_planarity(g).embedding
+    sides = [side_of_bridge(emb, c, b) for b in decompose(g, c)]
+    assert len(sides) == 2 and sides[0] == sides[1] in (1, -1)
+
+
+def _face_flood(r, cycle_edges: frozenset[int]) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each dart (v, e) of r mapped to a representative of its region: the
+    darts of one face share a region, and so do the two darts of an edge off
+    the cycle, so the flood never crosses a cycle edge."""
+    parent = {(v, e): (v, e) for v, rot in r.rotation.items() for e in rot}
+
+    def find(d):
+        while parent[d] != d:
+            d = parent[d]
+        return d
+
+    for v, e in list(parent):
+        w = r.graph.other_end(e, v)
+        rot = r.rotation[w]
+        parent[find((v, e))] = find((w, rot[(rot.index(e) + 1) % len(rot)]))
+        if e not in cycle_edges:
+            parent[find((v, e))] = find((w, e))
+    return {d: find(d) for d in parent}
+
+
+def test_bridge_sides_match_a_face_flood_on_multigraphs():
+    # two bridges lie on one side of an embedded cycle exactly when the faces
+    # their edges border are joined without crossing a cycle edge
+    rng = random.Random(5)
+    cases = two_edge = 0
+    for _ in range(400):
+        g = random_planar_graph(rng, rng.randint(3, 7))
+        doubled = rng.sample(g.edge_ids(), rng.randint(1, g.m))
+        g, _ = extend(g, [], [g.endpoints(e) for e in doubled])
+        emb = run_planarity(g).embedding
+        for c in islice(all_cycles(g), 10):
+            region = _face_flood(emb, c.edge_set())
+            by_side: dict[int, set] = {}
+            by_region: dict[tuple[int, int], set] = {}
+            for b in decompose(g, c):
+                e = min(b.edges)
+                by_side.setdefault(side_of_bridge(emb, c, b), set()).add(b)
+                by_region.setdefault(region[(g.endpoints(e)[0], e)], set()).add(b)
+            assert {frozenset(s) for s in by_side.values()} == {frozenset(s) for s in by_region.values()}
+            cases += 1
+            two_edge += c.length == 2
+    assert cases > 3000 and two_edge > 400
 
 
 def test_overlapping_bridges_plus_link_nonplanar():

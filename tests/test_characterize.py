@@ -14,7 +14,6 @@ import onecross.characterize as characterize
 import onecross.cli as cli
 import onecross.graph as graph
 import onecross.planarity as planarity
-import onecross.separation as separation
 from onecross import families
 from onecross.bridges import detaching_cycle_vv
 from onecross.characterize import (
@@ -693,7 +692,6 @@ def test_constructive_builder_makes_no_path_search(monkeypatch, v8, siran, k33):
         return paths_by_length(*args, **kwargs)
 
     monkeypatch.setattr(graph, "paths_by_length", counting)
-    monkeypatch.setattr(separation, "paths_by_length", counting)
     for g, p in _drawable_cases(v8, siran, k33)[:3]:
         build_one_drawing_constructive(g, p).validate(g)
     assert searches == []

@@ -214,6 +214,24 @@ def test_cli_pairs_siran(tmp_path, siran, capsys):
     assert rejected[tuple(sorted((ux, wz)))]["separation"]["separated"] is True
 
 
+def test_cli_pairs_budget_hit_keeps_the_settled_pairs(tmp_path, siran, capsys):
+    path = tmp_path / "siran.txt"
+    path.write_text(write_edge_list(siran))
+    assert main(["pairs", str(path), "--verify"]) == 1
+    full = capsys.readouterr().out
+    assert main(["pairs", str(path), "--verify", "--budget-steps", "15"]) == 69
+    out, err = capsys.readouterr()
+    assert err == "budget exceeded: search step budget exhausted\n"
+    report, whole = json.loads(out), json.loads(full)
+    assert report["partial"] is True and report["verified"] is True and "partial" not in whole
+    assert (len(report["crossing_pairs"]), len(report["rejected_pairs"])) == (2, 3)
+    for key in ("crossing_pairs", "rejected_pairs"):
+        assert all(r in whole[key] for r in report[key])
+    # a budget that every pair's search fits in leaves the report as it is
+    assert main(["pairs", str(path), "--verify", "--budget-steps", "30"]) == 1
+    assert capsys.readouterr().out == full
+
+
 def test_cli_pairs_planar_input(tmp_path, capsys):
     path = tmp_path / "q3.txt"
     path.write_text(write_edge_list(families.cube_graph()))

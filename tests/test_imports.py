@@ -1,6 +1,6 @@
-"""Every name a library module imports is used in that module, and no library
-module keeps state: what it binds at top level is a constant, a type alias or
-a dunder."""
+"""Every name a library module imports is used in that module, only `cli`
+imports inside a function, and no library module keeps state: what it binds
+at top level is a constant, a type alias or a dunder."""
 
 from __future__ import annotations
 
@@ -37,6 +37,33 @@ def test_library_module_uses_every_import(path):
 
 def test_unused_import_is_reported():
     assert _unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == ["os", "c"]
+
+
+# modules `cli` imports only in the commands that use them, to save set-up time
+DEFERRED = {"cli.py": {"layout", "families", "random", "multiprocessing"}}
+
+
+def _function_imports(source: str) -> set[str]:
+    """Modules imported inside a function body."""
+    out: set[str] = set()
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, ast.FunctionDef):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Import):
+                    out |= {a.name for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    out.add(node.module)
+    return out
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_module_imports_at_top_level(path):
+    assert _function_imports(path.read_text(encoding="utf-8")) <= DEFERRED.get(path.name, set())
+
+
+def test_function_imports_are_reported():
+    source = "import os\ndef f():\n    import random\n    from .graph import build\n    def g():\n        import json\n"
+    assert _function_imports(source) == {"random", "graph", "json"}
 
 
 def _module_state(source: str) -> list[str]:
